@@ -4,8 +4,8 @@ use crate::args::{ArgsError, ParsedArgs};
 use ia_arch::{Architecture, ArchitectureBuilder};
 use ia_netlist::{NetModel, Placement};
 use ia_rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
-use ia_rank::sweep;
-use ia_rank::{explain, utilization, RankError, RankProblem, RankProblemBuilder};
+use ia_rank::sweep::{self, Axis};
+use ia_rank::{explain, utilization, RankProblem, RankProblemBuilder};
 use ia_report::Table;
 use ia_tech::TechnologyNode;
 use ia_units::{Frequency, Permittivity};
@@ -367,92 +367,26 @@ pub fn cmd_rank(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// How one sweep axis rebuilds the problem for a swept value — a plain
-/// fn pointer so `cmd_sweep` can pick it by axis and hand it to either
-/// the serial or the thread-per-value parallel runner.
-type SweepApply = for<'b> fn(RankProblemBuilder<'b>, f64) -> RankProblemBuilder<'b>;
-
-/// Serial per-axis sweep entry point (carries the axis' span name).
-type SweepSerial =
-    for<'b, 'c> fn(&'c RankProblemBuilder<'b>, &[f64]) -> Result<Vec<sweep::SweepPoint>, RankError>;
-
-fn apply_permittivity<'b>(b: RankProblemBuilder<'b>, k: f64) -> RankProblemBuilder<'b> {
-    b.permittivity(Permittivity::from_relative(k))
-}
-
-fn apply_miller<'b>(b: RankProblemBuilder<'b>, m: f64) -> RankProblemBuilder<'b> {
-    b.miller_factor(m)
-}
-
-fn apply_clock<'b>(b: RankProblemBuilder<'b>, hz: f64) -> RankProblemBuilder<'b> {
-    b.clock(Frequency::from_hertz(hz))
-}
-
-fn apply_repeater_fraction<'b>(b: RankProblemBuilder<'b>, r: f64) -> RankProblemBuilder<'b> {
-    b.repeater_fraction(r)
-}
-
 /// `iarank sweep --axis k|m|c|r [--parallel]`: regenerate one Table 4
 /// column, optionally with one worker thread per swept value.
 pub fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
     let node = resolve_node(args)?;
     let architecture = resolve_architecture(args, &node)?;
     let builder = configure(args, RankProblem::builder(&node, &architecture))?;
-    let axis = args
-        .get_str("axis")
-        .unwrap_or_else(|| "k".to_owned())
-        .to_ascii_lowercase();
+    let axis = args.get_str("axis").unwrap_or_else(|| "k".to_owned());
     let parallel = args
         .get_str("parallel")
         .is_some_and(|v| v == "true" || v == "1");
     args.reject_unknown()?;
 
-    let (label, values, serial, apply): (&str, &[f64], SweepSerial, SweepApply) =
-        match axis.as_str() {
-            "k" => (
-                "K",
-                &sweep::PAPER_K_VALUES,
-                sweep::sweep_permittivity,
-                apply_permittivity,
-            ),
-            "m" => (
-                "M",
-                &sweep::PAPER_M_VALUES,
-                sweep::sweep_miller,
-                apply_miller,
-            ),
-            "c" => (
-                "C (Hz)",
-                &sweep::PAPER_C_HERTZ,
-                sweep::sweep_clock,
-                apply_clock,
-            ),
-            "r" => (
-                "R",
-                &sweep::PAPER_R_VALUES,
-                sweep::sweep_repeater_fraction,
-                apply_repeater_fraction,
-            ),
-            other => {
-                return Err(CliError::Domain(format!(
-                    "unknown axis `{other}` (expected k, m, c or r)"
-                )))
-            }
-        };
+    let axis = Axis::parse(&axis).map_err(domain)?;
+    let values = axis.paper_values();
     let points = if parallel {
-        sweep::sweep_parallel(&builder, values, apply).map_err(domain)?
+        sweep::sweep_parallel(&builder, values, |b, x| axis.apply(b, x))
     } else {
-        serial(&builder, values).map_err(domain)?
+        sweep::sweep_axis(&builder, axis, values)
     };
-    let mut t = Table::new([label, "rank", "normalized"]);
-    for p in &points {
-        t.row([
-            format!("{:.4e}", p.x),
-            p.rank.to_string(),
-            format!("{:.6}", p.normalized),
-        ]);
-    }
-    Ok(t.render())
+    Ok(ia_serve::api::sweep_table(axis, &points.map_err(domain)?))
 }
 
 /// `iarank wld`: generate a Davis WLD and print or save it as CSV.

@@ -13,14 +13,15 @@
 //! Both the HTTP serving layer and the design-space-exploration engine
 //! key their caches and run stores through this module, so a point
 //! solved by one is a content-addressed hit for the other and the two
-//! layers cannot drift.
+//! layers cannot drift. [`BoundConfig::with`] is the one setter that
+//! rebinds a [`Knob`] to a value.
 
 use ia_arch::{Architecture, ArchitectureBuilder};
 use ia_tech::TechnologyNode;
-use ia_units::{Frequency, Permittivity};
+use ia_units::convert::f64_to_u64_checked;
 use ia_wld::{Degradation, DegradeKind, Wld, WldSpec};
 
-use crate::sweep::CachedSolve;
+use crate::sweep::{Axis, CachedSolve};
 use crate::{RankProblem, RankProblemBuilder};
 
 /// The FNV-1a 128-bit offset basis.
@@ -38,6 +39,119 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// A knob of the canonical configuration: the paper's four Table 4
+/// knobs plus the design-scale, stack and corpus-stress knobs. Values
+/// are in the configuration's own units (`c` in MHz).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knob {
+    /// ILD permittivity `K`.
+    K,
+    /// Miller coupling factor `M`.
+    M,
+    /// Clock frequency `C`, in MHz (the sweep [`Axis::C`] is in
+    /// hertz).
+    C,
+    /// Repeater area fraction `R`.
+    R,
+    /// Design gate count.
+    Gates,
+    /// Coarsening bunch size.
+    Bunch,
+    /// Global layer-pair count.
+    Global,
+    /// Semi-global layer-pair count.
+    SemiGlobal,
+    /// Local layer-pair count.
+    Local,
+    /// Placement-suboptimality factor `γ` (the corpus stress axis):
+    /// `1.0` is the pristine closed-form WLD, larger values stretch
+    /// the distribution's tail before solving.
+    Corpus,
+}
+
+impl Knob {
+    const ALL: [Knob; 10] = [
+        Knob::K,
+        Knob::M,
+        Knob::C,
+        Knob::R,
+        Knob::Gates,
+        Knob::Bunch,
+        Knob::Global,
+        Knob::SemiGlobal,
+        Knob::Local,
+        Knob::Corpus,
+    ];
+
+    /// Parses a knob label (see [`Knob::label`], any case).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::Invalid`] for an unknown knob name.
+    pub fn parse(text: &str) -> Result<Self, BindError> {
+        let text = text.to_ascii_lowercase();
+        Knob::ALL
+            .into_iter()
+            .find(|knob| knob.label() == text)
+            .ok_or_else(|| {
+                BindError::Invalid(format!(
+                    "unknown knob `{text}` (expected k, m, c, r, gates, bunch, \
+                     global, semi_global, local or corpus)"
+                ))
+            })
+    }
+
+    /// The knob's canonical spec/report label.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Knob::K => "k",
+            Knob::M => "m",
+            Knob::C => "c",
+            Knob::R => "r",
+            Knob::Gates => "gates",
+            Knob::Bunch => "bunch",
+            Knob::Global => "global",
+            Knob::SemiGlobal => "semi_global",
+            Knob::Local => "local",
+            Knob::Corpus => "corpus",
+        }
+    }
+
+    /// Whether the knob only takes non-negative integer values.
+    #[must_use]
+    pub fn is_integer(self) -> bool {
+        matches!(
+            self,
+            Knob::Gates | Knob::Bunch | Knob::Global | Knob::SemiGlobal | Knob::Local
+        )
+    }
+
+    /// The paper's published Table 4 grid for the four Table 4 knobs,
+    /// in knob units (`c` in MHz); the other knobs have none.
+    #[must_use]
+    pub fn default_values(self) -> Option<Vec<f64>> {
+        let axis = Axis::ALL.into_iter().find(|axis| axis.knob() == self)?;
+        Some(
+            axis.paper_values()
+                .iter()
+                .map(|&x| axis.to_knob(x))
+                .collect(),
+        )
+    }
+
+    fn count(self, x: f64) -> Result<u64, BindError> {
+        f64_to_u64_checked(x)
+            .filter(|_| x.fract() == 0.0)
+            .ok_or_else(|| {
+                BindError::Invalid(format!(
+                    "axis `{}` value {x} is not a non-negative integer",
+                    self.label()
+                ))
+            })
+    }
 }
 
 /// The fully-bound inputs of one rank computation: technology node,
@@ -95,6 +209,44 @@ impl Default for BoundConfig {
 }
 
 impl BoundConfig {
+    /// This configuration with `knob` rebound to `x` (in knob units) —
+    /// the one setter between a knob value and the content-addressed
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::Invalid`] for a non-finite value, a
+    /// fractional or negative count, or `γ < 1` on the corpus knob.
+    // lint: raw-f64 (the knob value, unit depends on the knob)
+    pub fn with(mut self, knob: Knob, x: f64) -> Result<Self, BindError> {
+        if !x.is_finite() {
+            return Err(BindError::Invalid(format!(
+                "axis `{}` value must be finite",
+                knob.label()
+            )));
+        }
+        match knob {
+            Knob::K => self.k = Some(x),
+            Knob::M => self.miller = x,
+            Knob::C => self.clock_mhz = x,
+            Knob::R => self.fraction = x,
+            Knob::Gates => self.gates = knob.count(x)?,
+            Knob::Bunch => self.bunch = knob.count(x)?,
+            Knob::Global => self.global = knob.count(x)?,
+            Knob::SemiGlobal => self.semi_global = knob.count(x)?,
+            Knob::Local => self.local = knob.count(x)?,
+            Knob::Corpus => {
+                if x < 1.0 {
+                    return Err(BindError::Invalid(format!(
+                        "axis `corpus` value {x} is below 1 (γ ≥ 1)"
+                    )));
+                }
+                self.degrade = x;
+            }
+        }
+        Ok(self)
+    }
+
     /// Renders the bound inputs as `field=value` pairs in a fixed
     /// field order. Float knobs use Rust's shortest round-trip
     /// `Display` form, so distinct `f64` values always render
@@ -257,15 +409,13 @@ impl BoundProblem {
 
     /// Applies the configuration's scalar knobs to a builder.
     fn knobs<'p>(&'p self, builder: RankProblemBuilder<'p>) -> RankProblemBuilder<'p> {
-        let mut builder = builder
-            .bunch_size(self.config.bunch)
-            .clock(Frequency::from_megahertz(self.config.clock_mhz))
-            .repeater_fraction(self.config.fraction)
-            .miller_factor(self.config.miller);
-        if let Some(k) = self.config.k {
-            builder = builder.permittivity(Permittivity::from_relative(k));
-        }
-        builder
+        Axis::ALL.into_iter().fold(
+            builder.bunch_size(self.config.bunch),
+            |builder, axis| match axis.get(&self.config) {
+                Some(x) => axis.apply(builder, x),
+                None => builder,
+            },
+        )
     }
 }
 

@@ -8,43 +8,10 @@
 //! fraction), estimated by symmetric finite differences on rebuilt
 //! problems.
 
+use crate::canon::BoundConfig;
+use crate::sweep::Axis;
 use crate::{RankError, RankProblemBuilder};
-use ia_units::{Frequency, Permittivity};
 use serde::{Deserialize, Serialize};
-
-/// The knobs of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Knob {
-    /// ILD permittivity `K` (improving = decreasing).
-    Permittivity,
-    /// Miller coupling factor `M` (improving = decreasing).
-    MillerFactor,
-    /// Target clock frequency (improving = decreasing — i.e. slack).
-    Clock,
-    /// Repeater-area fraction `R` (improving = increasing).
-    RepeaterFraction,
-}
-
-impl Knob {
-    /// All four knobs in Table 4 order.
-    pub const ALL: [Knob; 4] = [
-        Knob::Permittivity,
-        Knob::MillerFactor,
-        Knob::Clock,
-        Knob::RepeaterFraction,
-    ];
-}
-
-impl std::fmt::Display for Knob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Knob::Permittivity => write!(f, "K (ILD permittivity)"),
-            Knob::MillerFactor => write!(f, "M (Miller factor)"),
-            Knob::Clock => write!(f, "C (clock frequency)"),
-            Knob::RepeaterFraction => write!(f, "R (repeater fraction)"),
-        }
-    }
-}
 
 /// Rank elasticity to one knob: the relative rank gain per percent of
 /// *improvement*, `(Δrank/rank) / (Δknob/knob) × sign(improvement)`,
@@ -84,7 +51,7 @@ impl std::fmt::Display for Elasticity {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KnobSensitivity {
     /// Which knob.
-    pub knob: Knob,
+    pub knob: Axis,
     /// The operating-point value of the knob.
     pub at: f64,
     /// Normalized rank at the operating point.
@@ -117,32 +84,46 @@ impl OperatingPoint {
             repeater_fraction: 0.4,
         }
     }
-}
 
-fn knob_value(point: &OperatingPoint, knob: Knob) -> f64 {
-    match knob {
-        Knob::Permittivity => point.permittivity,
-        Knob::MillerFactor => point.miller_factor,
-        Knob::Clock => point.clock_hz,
-        Knob::RepeaterFraction => point.repeater_fraction,
+    /// The operating point `config` binds. An unset `K` falls back to
+    /// the paper's 3.9 baseline.
+    #[must_use]
+    pub fn of(config: &BoundConfig) -> Self {
+        let mut point = Self::paper_baseline();
+        for axis in Axis::ALL {
+            if let Some(x) = axis.get(config) {
+                point.set(axis, x);
+            }
+        }
+        point
+    }
+
+    fn get(&self, axis: Axis) -> f64 {
+        match axis {
+            Axis::K => self.permittivity,
+            Axis::M => self.miller_factor,
+            Axis::C => self.clock_hz,
+            Axis::R => self.repeater_fraction,
+        }
+    }
+
+    fn set(&mut self, axis: Axis, x: f64) {
+        match axis {
+            Axis::K => self.permittivity = x,
+            Axis::M => self.miller_factor = x,
+            Axis::C => self.clock_hz = x,
+            Axis::R => self.repeater_fraction = x,
+        }
     }
 }
 
 /// Improving direction: −1 for knobs where smaller is better, +1 for
 /// the repeater fraction.
-fn improvement_sign(knob: Knob) -> f64 {
-    match knob {
-        Knob::Permittivity | Knob::MillerFactor | Knob::Clock => -1.0,
-        Knob::RepeaterFraction => 1.0,
+fn improvement_sign(axis: Axis) -> f64 {
+    match axis {
+        Axis::K | Axis::M | Axis::C => -1.0,
+        Axis::R => 1.0,
     }
-}
-
-fn apply<'a>(builder: RankProblemBuilder<'a>, point: &OperatingPoint) -> RankProblemBuilder<'a> {
-    builder
-        .permittivity(Permittivity::from_relative(point.permittivity))
-        .miller_factor(point.miller_factor)
-        .clock(Frequency::from_hertz(point.clock_hz))
-        .repeater_fraction(point.repeater_fraction)
 }
 
 /// Computes the normalized rank at an operating point.
@@ -150,7 +131,10 @@ fn normalized_at(
     builder: &RankProblemBuilder<'_>,
     point: &OperatingPoint,
 ) -> Result<f64, RankError> {
-    Ok(apply(builder.clone(), point).build()?.rank().normalized())
+    let builder = Axis::ALL
+        .into_iter()
+        .fold(builder.clone(), |b, axis| axis.apply(b, point.get(axis)));
+    Ok(builder.build()?.rank().normalized())
 }
 
 /// Estimates the rank's elasticity to every Table 4 knob at `point`,
@@ -192,19 +176,13 @@ pub fn sensitivities(
 ) -> Result<Vec<KnobSensitivity>, RankError> {
     let _span = crate::telemetry::span(crate::telemetry::names::SPAN_SENSITIVITY);
     let baseline = normalized_at(builder, point)?;
-    let mut out = Vec::with_capacity(Knob::ALL.len());
-    for knob in Knob::ALL {
-        let value = knob_value(point, knob);
+    let mut out = Vec::with_capacity(Axis::ALL.len());
+    for knob in Axis::ALL {
+        let value = point.get(knob);
         let mut lo = *point;
         let mut hi = *point;
-        let set = |p: &mut OperatingPoint, v: f64| match knob {
-            Knob::Permittivity => p.permittivity = v,
-            Knob::MillerFactor => p.miller_factor = v,
-            Knob::Clock => p.clock_hz = v,
-            Knob::RepeaterFraction => p.repeater_fraction = v,
-        };
-        set(&mut lo, value * (1.0 - step));
-        set(&mut hi, value * (1.0 + step));
+        lo.set(knob, value * (1.0 - step));
+        hi.set(knob, value * (1.0 + step));
         let r_lo = normalized_at(builder, &lo)?;
         let r_hi = normalized_at(builder, &hi)?;
         // Relative rank change per relative knob change, oriented so
@@ -237,10 +215,17 @@ mod tests {
     use ia_wld::WldSpec;
 
     #[test]
-    fn knob_display_and_all() {
-        assert_eq!(Knob::ALL.len(), 4);
-        assert!(Knob::Permittivity.to_string().contains('K'));
-        assert!(Knob::RepeaterFraction.to_string().contains('R'));
+    fn operating_point_reads_a_configuration() {
+        let config = BoundConfig {
+            miller: 1.5,
+            clock_mhz: 700.0,
+            ..BoundConfig::default()
+        };
+        let point = OperatingPoint::of(&config);
+        assert!((point.permittivity - 3.9).abs() < 1e-12, "unset K is 3.9");
+        assert!((point.miller_factor - 1.5).abs() < 1e-12);
+        assert!((point.clock_hz - 7.0e8).abs() < 1e-3);
+        assert!((point.repeater_fraction - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -271,14 +256,14 @@ mod tests {
                 .expect("positive baseline has finite elasticity");
             match s.knob {
                 // Material/coupling improvements always help (weakly).
-                Knob::Permittivity | Knob::MillerFactor => {
+                Axis::K | Axis::M => {
                     assert!(e >= 0.0, "{:?}: {e}", s.knob)
                 }
                 // Slower clocks can't hurt.
-                Knob::Clock => assert!(e >= 0.0, "{e}"),
+                Axis::C => assert!(e >= 0.0, "{e}"),
                 // Repeater fraction interacts with die inflation; no
                 // sign guarantee off the paper's scale — just finite.
-                Knob::RepeaterFraction => assert!(e.is_finite()),
+                Axis::R => assert!(e.is_finite()),
             }
         }
     }

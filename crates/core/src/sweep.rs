@@ -1,15 +1,157 @@
 //! Table 4 parameter sweeps and the K-vs-M equivalence analysis.
 //!
+//! [`Axis`] names the four Table 4 columns: their labels, the paper's
+//! grids, and the one way a swept value is applied to a
+//! [`RankProblemBuilder`].
+//!
 //! Sweeps can consult a caller-supplied [`PointCache`]: before
 //! rebuilding and solving a point, the runner asks the cache for a
 //! previously computed [`CachedSolve`] under a caller-derived
 //! content-address. `ia-serve` plugs its sharded LRU in here so HTTP
 //! sweep requests share entries with individual `/solve` requests.
 
+use crate::canon::{BindError, BoundConfig, Knob};
 use crate::telemetry::{self, names};
 use crate::{RankError, RankProblem, RankProblemBuilder, RankResult};
 use ia_units::{Frequency, Permittivity};
 use serde::{Deserialize, Serialize};
+
+/// A Table 4 sweep axis. Swept values are in the axis' own units,
+/// which match the configuration's knob units except for `C`: the
+/// axis is in hertz, the [`Knob::C`] configuration field in MHz.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Axis {
+    /// ILD permittivity `K`.
+    K,
+    /// Miller coupling factor `M`.
+    M,
+    /// Clock frequency `C`, in hertz.
+    C,
+    /// Repeater area fraction `R`.
+    R,
+}
+
+impl Axis {
+    /// All four axes in Table 4 order.
+    pub const ALL: [Axis; 4] = [Axis::K, Axis::M, Axis::C, Axis::R];
+
+    /// Parses an axis label (`k|m|c|r`, any case).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::Invalid`] for any other string.
+    pub fn parse(text: &str) -> Result<Self, BindError> {
+        let text = text.to_ascii_lowercase();
+        Axis::ALL
+            .into_iter()
+            .find(|axis| axis.label() == text)
+            .ok_or_else(|| {
+                BindError::Invalid(format!("unknown axis `{text}` (expected k, m, c or r)"))
+            })
+    }
+
+    /// The axis' lowercase label, shared with its [`Knob`].
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        self.knob().label()
+    }
+
+    /// The axis' Table 4 column symbol.
+    #[must_use]
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Axis::K => "K",
+            Axis::M => "M",
+            Axis::C => "C",
+            Axis::R => "R",
+        }
+    }
+
+    /// The paper's Table 4 grid for this axis, in axis units.
+    #[must_use]
+    pub fn paper_values(self) -> &'static [f64] {
+        match self {
+            Axis::K => &PAPER_K_VALUES,
+            Axis::M => &PAPER_M_VALUES,
+            Axis::C => &PAPER_C_HERTZ,
+            Axis::R => &PAPER_R_VALUES,
+        }
+    }
+
+    /// The configuration knob this axis sweeps.
+    #[must_use]
+    pub fn knob(self) -> Knob {
+        match self {
+            Axis::K => Knob::K,
+            Axis::M => Knob::M,
+            Axis::C => Knob::C,
+            Axis::R => Knob::R,
+        }
+    }
+
+    /// Axis units per knob unit: hertz per MHz for `C`, else 1.
+    fn scale(self) -> f64 {
+        if self == Axis::C {
+            1.0e6
+        } else {
+            1.0
+        }
+    }
+
+    /// Converts a swept value to its knob's units, for
+    /// [`BoundConfig::with`].
+    #[must_use]
+    // lint: raw-f64 (the swept value, unit depends on the axis)
+    pub fn to_knob(self, x: f64) -> f64 {
+        x / self.scale()
+    }
+
+    /// This axis' value in `config`, in axis units (`None` when `K`
+    /// is left at the node default).
+    #[must_use]
+    pub fn get(self, config: &BoundConfig) -> Option<f64> {
+        let value = match self {
+            Axis::K => config.k?,
+            Axis::M => config.miller,
+            Axis::C => config.clock_mhz,
+            Axis::R => config.fraction,
+        };
+        Some(value * self.scale())
+    }
+
+    /// Sets this axis to `x` (axis units) on a problem builder — the
+    /// one builder setter for the Table 4 knobs.
+    #[must_use]
+    // lint: raw-f64 (the swept value, unit depends on the axis)
+    pub fn apply(self, builder: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
+        match self {
+            Axis::K => builder.permittivity(Permittivity::from_relative(x)),
+            Axis::M => builder.miller_factor(x),
+            Axis::C => builder.clock(Frequency::from_hertz(x)),
+            Axis::R => builder.repeater_fraction(x),
+        }
+    }
+
+    fn span(self) -> &'static str {
+        match self {
+            Axis::K => names::SPAN_SWEEP_PERMITTIVITY,
+            Axis::M => names::SPAN_SWEEP_MILLER,
+            Axis::C => names::SPAN_SWEEP_CLOCK,
+            Axis::R => names::SPAN_SWEEP_REPEATER_FRACTION,
+        }
+    }
+}
+
+impl std::fmt::Display for Axis {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Axis::K => write!(f, "K (ILD permittivity)"),
+            Axis::M => write!(f, "M (Miller factor)"),
+            Axis::C => write!(f, "C (clock frequency)"),
+            Axis::R => write!(f, "R (repeater fraction)"),
+        }
+    }
+}
 
 /// One point of a parameter sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,17 +300,6 @@ pub const PAPER_C_HERTZ: [f64; 13] = [
 /// The repeater-fraction grid of Table 4's `R` column: 0.1 to 0.5.
 pub const PAPER_R_VALUES: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
 
-fn run_sweep<'a, F>(
-    builder: &RankProblemBuilder<'a>,
-    values: &[f64],
-    apply: F,
-) -> Result<Vec<SweepPoint>, RankError>
-where
-    F: Fn(RankProblemBuilder<'a>, f64) -> RankProblemBuilder<'a>,
-{
-    sweep_cached(builder, values, apply, &NoCache)
-}
-
 /// Runs a serial sweep that consults `cache` before solving each value
 /// (see [`PointCache`]). Hits and misses are recorded under the
 /// `sweep.cache.*` counters; values the cache declines to key solve
@@ -192,6 +323,21 @@ where
         .collect()
 }
 
+/// Sweeps one Table 4 axis over `values` (axis units), uncached,
+/// under the axis' own `sweep.*` span.
+///
+/// # Errors
+///
+/// Propagates any [`RankError`] from rebuilding the problem.
+pub fn sweep_axis(
+    builder: &RankProblemBuilder<'_>,
+    axis: Axis,
+    values: &[f64],
+) -> Result<Vec<SweepPoint>, RankError> {
+    let _span = telemetry::span(axis.span());
+    sweep_cached(builder, values, |b, x| axis.apply(b, x), &NoCache)
+}
+
 /// Sweeps the ILD permittivity `K` (Table 4, first column group).
 ///
 /// # Errors
@@ -201,10 +347,7 @@ pub fn sweep_permittivity(
     builder: &RankProblemBuilder<'_>,
     values: &[f64],
 ) -> Result<Vec<SweepPoint>, RankError> {
-    let _span = telemetry::span(names::SPAN_SWEEP_PERMITTIVITY);
-    run_sweep(builder, values, |b, k| {
-        b.permittivity(Permittivity::from_relative(k))
-    })
+    sweep_axis(builder, Axis::K, values)
 }
 
 /// Sweeps the Miller coupling factor `M` (Table 4, second column group).
@@ -216,8 +359,7 @@ pub fn sweep_miller(
     builder: &RankProblemBuilder<'_>,
     values: &[f64],
 ) -> Result<Vec<SweepPoint>, RankError> {
-    let _span = telemetry::span(names::SPAN_SWEEP_MILLER);
-    run_sweep(builder, values, |b, m| b.miller_factor(m))
+    sweep_axis(builder, Axis::M, values)
 }
 
 /// Sweeps the target clock frequency `C` in hertz (Table 4, third
@@ -230,8 +372,7 @@ pub fn sweep_clock(
     builder: &RankProblemBuilder<'_>,
     hertz: &[f64],
 ) -> Result<Vec<SweepPoint>, RankError> {
-    let _span = telemetry::span(names::SPAN_SWEEP_CLOCK);
-    run_sweep(builder, hertz, |b, hz| b.clock(Frequency::from_hertz(hz)))
+    sweep_axis(builder, Axis::C, hertz)
 }
 
 /// Sweeps the repeater-area fraction `R` (Table 4, fourth column group).
@@ -243,8 +384,7 @@ pub fn sweep_repeater_fraction(
     builder: &RankProblemBuilder<'_>,
     fractions: &[f64],
 ) -> Result<Vec<SweepPoint>, RankError> {
-    let _span = telemetry::span(names::SPAN_SWEEP_REPEATER_FRACTION);
-    run_sweep(builder, fractions, |b, r| b.repeater_fraction(r))
+    sweep_axis(builder, Axis::R, fractions)
 }
 
 /// Runs a sweep with one thread per value (scoped threads), preserving
@@ -424,8 +564,39 @@ mod tests {
         assert!(r[0].rank <= r[1].rank && r[1].rank <= r[2].rank, "{r:?}");
     }
 
-    fn apply_k(b: RankProblemBuilder<'_>, k: f64) -> RankProblemBuilder<'_> {
-        b.permittivity(Permittivity::from_relative(k))
+    #[test]
+    fn both_knob_setters_agree_on_every_axis() {
+        // The builder path (`Axis::apply`) and the configuration path
+        // (`BoundConfig::with`) must bind the same problem.
+        let base = BoundConfig {
+            gates: 20_000,
+            bunch: 2_000,
+            ..BoundConfig::default()
+        };
+        let bound = base.bind().unwrap();
+        for axis in Axis::ALL {
+            let grid = axis.paper_values();
+            for x in [grid[1], grid[grid.len() - 2]] {
+                let built = axis.apply(bound.builder().unwrap(), x).build().unwrap();
+                let via_builder = CachedSolve::of(&built, &built.rank());
+                let config = base.clone().with(axis.knob(), axis.to_knob(x)).unwrap();
+                assert_eq!(axis.get(&config), Some(x), "{axis} round-trips");
+                assert_eq!(via_builder, config.solve().unwrap(), "{axis} = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn axis_labels_and_grids_match_table4() {
+        let lengths: Vec<usize> = Axis::ALL.iter().map(|a| a.paper_values().len()).collect();
+        assert_eq!(lengths, [22, 21, 13, 5]);
+        assert_eq!(Axis::parse("K").unwrap(), Axis::K);
+        assert!(Axis::parse("x").is_err());
+        assert_eq!(Axis::C.label(), "c");
+        assert_eq!(Axis::C.symbol(), "C");
+        assert_eq!(Axis::C.to_knob(5.0e8), 500.0);
+        assert_eq!(Knob::C.default_values().unwrap()[0], 500.0);
+        assert!(Axis::R.to_string().contains("repeater"));
     }
 
     /// A transparent test cache: keys every value by its bit pattern.
@@ -462,17 +633,18 @@ mod tests {
         let plain = sweep_permittivity(&base, &values).unwrap();
 
         let cache = MapCache::default();
-        let cold = sweep_cached(&base, &values, apply_k, &cache).unwrap();
+        let cold = sweep_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
         assert_eq!(cold, plain, "the cache is transparent");
         assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
 
         // Second pass: everything answered from the cache, nothing stored.
-        let warm = sweep_cached(&base, &values, apply_k, &cache).unwrap();
+        let warm = sweep_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
         assert_eq!(warm, plain);
         assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
 
         // The parallel runner shares the same entries.
-        let parallel = sweep_parallel_cached(&base, &values, apply_k, &cache).unwrap();
+        let parallel =
+            sweep_parallel_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
         assert_eq!(parallel, plain);
         assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
 
@@ -496,8 +668,8 @@ mod tests {
         let cache = MapCache::default();
         ia_obs::set_enabled(true);
         ia_obs::reset();
-        let _ = sweep_cached(&base, &[3.9, 3.0], apply_k, &cache).unwrap();
-        let _ = sweep_cached(&base, &[3.9, 3.0], apply_k, &cache).unwrap();
+        let _ = sweep_cached(&base, &[3.9, 3.0], |b, k| Axis::K.apply(b, k), &cache).unwrap();
+        let _ = sweep_cached(&base, &[3.9, 3.0], |b, k| Axis::K.apply(b, k), &cache).unwrap();
         let snap = ia_obs::snapshot();
         assert_eq!(snap.counter(names::SWEEP_CACHE_MISSES), Some(2));
         assert_eq!(snap.counter(names::SWEEP_CACHE_HITS), Some(2));
@@ -512,10 +684,7 @@ mod tests {
             .bunch_size(2_000);
         let values = [3.9, 3.0, 2.1];
         let serial = sweep_permittivity(&base, &values).unwrap();
-        let parallel = sweep_parallel(&base, &values, |b, k| {
-            b.permittivity(Permittivity::from_relative(k))
-        })
-        .unwrap();
+        let parallel = sweep_parallel(&base, &values, |b, k| Axis::K.apply(b, k)).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -529,10 +698,7 @@ mod tests {
             .bunch_size(2_000);
         ia_obs::set_enabled(true);
         ia_obs::reset();
-        let _ = sweep_parallel(&base, &[3.9, 3.0, 2.1], |b, k| {
-            b.permittivity(Permittivity::from_relative(k))
-        })
-        .unwrap();
+        let _ = sweep_parallel(&base, &[3.9, 3.0, 2.1], |b, k| Axis::K.apply(b, k)).unwrap();
         let snap = ia_obs::snapshot();
         assert!(
             snap.counter(names::DP_STATES).unwrap_or(0) > 0,
@@ -560,7 +726,8 @@ mod tests {
         let cache = MapCache::default();
         ia_obs::set_enabled(true);
         ia_obs::reset();
-        let _ = sweep_parallel_cached(&base, &[3.9, 3.0, 2.1], apply_k, &cache).unwrap();
+        let _ = sweep_parallel_cached(&base, &[3.9, 3.0, 2.1], |b, k| Axis::K.apply(b, k), &cache)
+            .unwrap();
         let snap = ia_obs::snapshot();
         // Workers solve inside their own thread-local collectors; after
         // the merge, the solver's phase spans appear under the same

@@ -9,16 +9,18 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use ia_dse::scheduler::{execute, ExecOptions};
+use ia_dse::store::{RunStore, StoreCache};
 use ia_obs::json::JsonValue;
 use ia_obs::log::{self as obs_log, LogLevel};
 use ia_rank::sweep::CachedSolve;
+use ia_wld::RentParameters;
 
-use crate::design::{materialize, DesignNeed};
+use crate::design::{materialize, DesignData, DesignNeed};
 use crate::error::CorpusError;
+use crate::names;
 use crate::point::{expand, CorpusPoint};
-use crate::scheduler::{execute, ExecOptions};
 use crate::spec::{Backend, CorpusSpec};
-use crate::store::{RunStore, StoreCache};
 
 /// Execution knobs for one corpus run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,7 +94,7 @@ pub fn run(
 ///
 /// Returns [`CorpusError`] like [`run`].
 pub fn resume(run_dir: &Path, opts: &RunOptions) -> Result<(CorpusSpec, RunOutcome), CorpusError> {
-    let (store, spec, completed) = RunStore::open(run_dir)?;
+    let (store, spec, completed) = RunStore::open::<CorpusSpec>(run_dir)?;
     let outcome = finish(&spec, &store, completed, opts)?;
     Ok((spec, outcome))
 }
@@ -146,17 +148,19 @@ fn finish(
     }
     let cache = StoreCache::new(store, completed);
     let exec = execute(
-        spec,
+        &names::EXEC,
         &points,
-        &designs,
+        &|point: &CorpusPoint| point.key(spec),
+        &|point: &CorpusPoint| solve_point(point, &designs),
         &cache,
         &ExecOptions {
             workers: opts.workers.unwrap_or(spec.workers),
             budget: opts.budget,
+            ..ExecOptions::default()
         },
     )?;
     if let Some(error) = cache.take_error() {
-        return Err(error);
+        return Err(error.into());
     }
     let solved_points = assemble(spec, &points, &exec.results);
     let outcome = RunOutcome {
@@ -181,6 +185,32 @@ fn finish(
         ],
     );
     Ok(outcome)
+}
+
+/// Solves one corpus point: the backend's wire-length distribution
+/// for the point's materialized design (the measured histogram, or a
+/// stochastic model at the design's gate count), then
+/// `BoundConfig::solve_with_wld`.
+fn solve_point(
+    point: &CorpusPoint,
+    designs: &[Option<DesignData>],
+) -> Result<CachedSolve, CorpusError> {
+    let data = designs
+        .get(point.design)
+        .and_then(Option::as_ref)
+        .ok_or_else(|| {
+            CorpusError::Spec(format!(
+                "point references unmaterialized design {}",
+                point.design
+            ))
+        })?;
+    let wld = match point.backend {
+        Backend::Measured => data.measured.clone().ok_or(CorpusError::Spec(
+            "measured backend reached a design with no measured distribution".to_owned(),
+        ))?,
+        Backend::Model(model) => model.generate(data.gates, RentParameters::default())?,
+    };
+    point.config.solve_with_wld(wld).map_err(CorpusError::Bind)
 }
 
 fn assemble(
@@ -226,6 +256,47 @@ mod tests {
                    "cells": 500, "nets": 1200, "seed": 11}]}"#,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn backends_disagree_on_rank_at_the_same_scale() {
+        let root = tmp_root("backends");
+        let outcome = run(&spec(), &root, &RunOptions::default()).unwrap();
+        // Points 0..1 are davis on `ref` at γ=1,2; 2..3 hefeida-site.
+        let davis = outcome.points[0].solve;
+        assert_ne!(davis.rank, outcome.points[2].solve.rank);
+        // Degradation can only lose rank, never gain it.
+        assert!(outcome.points[1].solve.rank <= davis.rank);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_missing_design_is_a_loud_error() {
+        let points = expand(&spec());
+        let err = solve_point(&points[0], &[None]).unwrap_err();
+        assert!(err.to_string().contains("unmaterialized"), "{err}");
+    }
+
+    #[test]
+    fn a_clashing_run_directory_is_refused() {
+        let root = tmp_root("clash");
+        let spec = spec();
+        let first = run(
+            &spec,
+            &root,
+            &RunOptions {
+                budget: Some(0),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        // Another spec whose run directory holds `spec`'s manifest.
+        let mut other = spec.clone();
+        other.name = "other".to_owned();
+        std::fs::rename(&first.run_dir, root.join(other.run_id())).unwrap();
+        let err = run(&other, &root, &RunOptions::default()).unwrap_err();
+        assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The corpus runner's error type.
 
+use ia_dse::DseError;
 use ia_netlist::NetlistError;
 use ia_rank::canon::BindError;
 use ia_wld::WldError;
@@ -67,6 +68,20 @@ impl std::error::Error for CorpusError {}
 impl From<WldError> for CorpusError {
     fn from(e: WldError) -> Self {
         CorpusError::Wld(e)
+    }
+}
+
+/// The shared run store and executor report in [`DseError`]; every
+/// variant has a corpus counterpart.
+impl From<DseError> for CorpusError {
+    fn from(e: DseError) -> Self {
+        match e {
+            DseError::Spec(message) => CorpusError::Spec(message),
+            DseError::Bind(e) => CorpusError::Bind(e),
+            DseError::Io { path, message } => CorpusError::Io { path, message },
+            DseError::Corrupt { path, message } => CorpusError::Corrupt { path, message },
+            DseError::WorkerPanicked => CorpusError::WorkerPanicked,
+        }
     }
 }
 

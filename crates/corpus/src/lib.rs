@@ -6,10 +6,11 @@
 //! backends to model them with (the measured distribution or any
 //! [`ia_wld::WldModel`]), and the placement-suboptimality levels
 //! `γ ≥ 1` to stress them at. The engine solves the full cartesian
-//! product through a resumable content-addressed run store (the same
-//! journal conventions as `ia-dse` runs) and the report ranks every
-//! backend against the Davis baseline per design and stress level,
-//! flagging rank cliffs.
+//! product on `ia-dse`'s bounded executor and resumable run store —
+//! this crate contributes only the per-point solve (materialized
+//! design → backend WLD → `BoundConfig::solve_with_wld`) — and the
+//! report ranks every backend against the Davis baseline per design
+//! and stress level, flagging rank cliffs.
 //!
 //! ```no_run
 //! use ia_corpus::{report, CorpusSpec, RunOptions};
@@ -32,20 +33,27 @@ mod engine;
 mod error;
 mod point;
 pub mod report;
-mod scheduler;
 mod spec;
-mod store;
 
 pub use design::DesignData;
 pub use engine::{resume, run, RunOptions, RunOutcome, SolvedCorpusPoint};
 pub use error::CorpusError;
 pub use point::{expand, CorpusPoint};
 pub use spec::{net_model_label, Backend, CorpusSpec, DesignSource, DesignSpec};
-pub use store::{RunStore, StoreCache};
 
 /// Observability names the corpus runner emits, in one place so the
 /// docs, dashboards and tests agree on spelling.
 pub mod names {
+    use ia_dse::scheduler::ExecNames;
+
+    /// The executor telemetry of a corpus run.
+    pub const EXEC: ExecNames = ExecNames {
+        solved: POINTS_SOLVED,
+        cached: POINTS_CACHED,
+        skipped: POINTS_SKIPPED,
+        point: POINT_SPAN,
+        worker_prefix: WORKER_PREFIX,
+    };
     /// Counter: points solved fresh this run (cache misses).
     pub const POINTS_SOLVED: &str = "corpus.points.solved";
     /// Counter: points satisfied from the run store's journal.

@@ -35,6 +35,7 @@
 //! ```
 
 use ia_dse::spec::{config_from_json, config_to_json, toml_subset};
+use ia_dse::store::{run_id, RunSpec};
 use ia_netlist::NetModel;
 use ia_obs::json::JsonValue;
 use ia_rank::canon::{fnv1a_128, BoundConfig};
@@ -440,8 +441,25 @@ impl CorpusSpec {
     /// naming `runs/<run_id>/` like `ia-dse` runs do.
     #[must_use]
     pub fn run_id(&self) -> String {
-        let hex = format!("{:032x}", self.spec_hash());
-        hex.chars().take(16).collect()
+        run_id(self.spec_hash())
+    }
+}
+
+impl RunSpec for CorpusSpec {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn spec_hash(&self) -> u128 {
+        CorpusSpec::spec_hash(self)
+    }
+
+    fn to_json(&self) -> JsonValue {
+        CorpusSpec::to_json(self)
+    }
+
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        CorpusSpec::from_json(doc).map_err(|e| e.to_string())
     }
 }
 

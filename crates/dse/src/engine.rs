@@ -26,7 +26,7 @@ use crate::error::DseError;
 use crate::names;
 use crate::pareto::detect_cliffs;
 use crate::point::{expand, expand_product, Point};
-use crate::scheduler::{execute, ExecOptions, PointSolver};
+use crate::scheduler::{execute, ExecOptions, LocalSolver, PointSolver};
 use crate::spec::{ExperimentSpec, Strategy};
 use crate::store::{RunStore, StoreCache};
 
@@ -255,6 +255,7 @@ pub fn explore(
     opts: &RunOptions<'_>,
 ) -> Result<RunOutcome, DseError> {
     let workers = effective_workers(spec, opts);
+    let solver = opts.solver.unwrap_or(&LocalSolver);
     let (threshold, max_rounds) = match spec.strategy {
         Strategy::Adaptive {
             threshold,
@@ -287,12 +288,17 @@ pub fn explore(
         let phases_before = dp_phase_totals(&ia_obs::snapshot());
         let execute_watch = Stopwatch::start();
         let exec = execute(
+            &names::EXEC,
             &pending,
+            &Point::key,
+            &|point: &Point| solver.solve_point(point),
             cache,
-            &ExecOptions { workers, budget },
-            opts.cancel,
-            opts.progress,
-            opts.solver,
+            &ExecOptions {
+                workers,
+                budget,
+                cancel: opts.cancel,
+                progress: opts.progress,
+            },
         )?;
         let execute_ns = execute_watch.elapsed_ns();
         let phases_after = dp_phase_totals(&ia_obs::snapshot());
@@ -428,7 +434,7 @@ pub fn run(
 /// Returns [`DseError`] for spec/bind/solve failures, run-store I/O
 /// failures, or a corrupt store.
 pub fn resume(run_dir: &Path, opts: &RunOptions<'_>) -> Result<RunOutcome, DseError> {
-    let (store, spec, completed) = RunStore::open(run_dir)?;
+    let (store, spec, completed) = RunStore::open::<ExperimentSpec>(run_dir)?;
     finish(&spec, &store, completed, opts)
 }
 

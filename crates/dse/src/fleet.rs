@@ -35,7 +35,7 @@ use crate::error::DseError;
 use crate::names;
 use crate::point::{expand, Point};
 use crate::scheduler::{LocalSolver, PointSolver};
-use crate::spec::Strategy;
+use crate::spec::{ExperimentSpec, Strategy};
 use crate::store::RunStore;
 
 /// Knobs for one shared-store fleet worker.
@@ -112,7 +112,7 @@ pub fn work(
     opts: &RunOptions<'_>,
     fleet: &FleetOptions,
 ) -> Result<FleetOutcome, DseError> {
-    let (store, spec, _) = RunStore::open(run_dir)?;
+    let (store, spec, _) = RunStore::open::<ExperimentSpec>(run_dir)?;
     let journal = ClaimJournal::open(run_dir, &fleet.worker_id)?;
     let solver: &dyn PointSolver = opts.solver.unwrap_or(&LocalSolver);
     let run_id = spec.run_id();

@@ -14,15 +14,17 @@
 //!   search [`Strategy`] (`grid` | `random` | `adaptive`), and point
 //!   budgets.
 //! * **[`point`]** — spec expansion into a deduplicated point set,
-//!   each point content-addressed through `ia_rank::canon` so dse
-//!   runs, the HTTP serve cache, and each other share one address
-//!   space.
+//!   each point bound through `ia_rank::canon::BoundConfig::with` and
+//!   content-addressed through `ia_rank::canon`, so dse runs, the HTTP
+//!   serve cache, and each other share one address space.
 //! * **[`scheduler`]** — a bounded parallel executor over
-//!   `ia_rank::sweep::PointCache`, telemetry-registered per worker.
+//!   `ia_rank::sweep::PointCache`, telemetry-registered per worker;
+//!   it takes the per-point solve and telemetry names as arguments,
+//!   so `ia-corpus` runs on it too.
 //! * **[`store`]** — the resumable on-disk run store:
 //!   `runs/<run_id>/` holds a `manifest.json` plus an append-only
 //!   `results.jsonl`; a killed run resumes without re-solving any
-//!   completed point.
+//!   completed point. Any [`RunSpec`] (dse or corpus) can be stored.
 //! * **[`pareto`]** — Pareto-front extraction (maximize normalized
 //!   rank, minimize repeater area) and rank-cliff detection; the
 //!   adaptive strategy bisects axis intervals across detected cliffs.
@@ -57,13 +59,23 @@ pub use fleet::{FleetOptions, FleetOutcome};
 pub use pareto::{pareto_front, Cliff};
 pub use point::Point;
 pub use scheduler::{LocalSolver, PointSolver};
-pub use spec::{AxisSpec, ExperimentSpec, Knob, Strategy};
-pub use store::RunStore;
+pub use spec::{AxisSpec, ExperimentSpec, Strategy};
+pub use store::{RunSpec, RunStore};
 
 /// Telemetry names emitted by the exploration engine, kept in one
 /// place so docs, tests and dashboards reference identical strings
 /// (same policy as `ia_rank::telemetry::names`).
 pub mod names {
+    use crate::scheduler::ExecNames;
+
+    /// The executor telemetry of a dse round.
+    pub const EXEC: ExecNames = ExecNames {
+        solved: POINTS_SOLVED,
+        cached: POINTS_CACHED,
+        skipped: POINTS_SKIPPED,
+        point: SPAN_POINT,
+        worker_prefix: WORKER_PREFIX,
+    };
     /// Points solved fresh (cache miss → DP solve → store append).
     pub const POINTS_SOLVED: &str = "dse.points.solved";
     /// Points answered by the run store or solve cache.

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::DseError;
-use crate::spec::{ExperimentSpec, SampleMode, Strategy};
+use crate::spec::{bad_knob, ExperimentSpec, SampleMode, Strategy};
 
 /// One expanded exploration point.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +34,14 @@ impl Point {
 
 /// Binds one coordinate tuple against the spec's base configuration.
 pub(crate) fn bind_coords(spec: &ExperimentSpec, coords: &[f64]) -> Result<Point, DseError> {
-    let mut config = spec.base.clone();
-    for (axis, &x) in spec.axes.iter().zip(coords) {
-        axis.knob.apply(&mut config, x)?;
-    }
+    let config = spec
+        .axes
+        .iter()
+        .zip(coords)
+        .try_fold(spec.base.clone(), |config, (axis, &x)| {
+            config.with(axis.knob, x)
+        })
+        .map_err(bad_knob)?;
     Ok(Point {
         config,
         coords: coords.to_vec(),

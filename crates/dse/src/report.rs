@@ -238,7 +238,7 @@ pub fn to_csv(spec: &ExperimentSpec, points: &[SolvedPoint]) -> String {
 /// fresh-solve budget, so every completed point is a cache hit and
 /// every unfinished point is skipped.
 fn replay_run(run_dir: &std::path::Path) -> Result<(ExperimentSpec, Vec<SolvedPoint>), DseError> {
-    let (store, spec, completed) = RunStore::open(run_dir)?;
+    let (store, spec, completed) = RunStore::open::<ExperimentSpec>(run_dir)?;
     let cache = StoreCache::new(&store, completed);
     let outcome = explore(
         &spec,

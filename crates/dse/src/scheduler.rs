@@ -1,4 +1,5 @@
-//! The bounded parallel point executor.
+//! The bounded parallel point executor, shared by `ia-dse` and
+//! `ia-corpus`.
 //!
 //! A fixed set of scoped worker threads drains one shared work queue
 //! (a mutex-guarded deque — deliberately not a channel: the queue is
@@ -6,10 +7,10 @@
 //! threads are joined before `execute` returns, both of which lint
 //! rule L8 enforces for this crate). Each worker checks the
 //! [`PointCache`] first — in a store-backed run that is the resume
-//! path — and only solves on a miss, within an optional fresh-solve
-//! budget. Every worker registers with an [`ia_obs::MergeSink`]
-//! (rule L7), so `dse.points.*` counters and `dse.point` spans merge
-//! into the caller's snapshot.
+//! path — and only calls the caller's per-point solve on a miss,
+//! within an optional fresh-solve budget. Every worker registers with
+//! an [`ia_obs::MergeSink`] (rule L7), so the caller's [`ExecNames`]
+//! counters and point spans merge into the caller's snapshot.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,7 +23,6 @@ use ia_obs::{counter_add, MergeSink};
 use ia_rank::sweep::{CachedSolve, PointCache};
 
 use crate::error::DseError;
-use crate::names;
 use crate::point::Point;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -55,9 +55,25 @@ impl PointSolver for LocalSolver {
     }
 }
 
+/// The telemetry names one engine's rounds emit, so dse and corpus
+/// runs keep their own counters, spans and worker tracks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecNames {
+    /// Counter: points solved fresh.
+    pub solved: &'static str,
+    /// Counter: points answered by the cache.
+    pub cached: &'static str,
+    /// Counter: points left unsolved by a budget stop or cancellation.
+    pub skipped: &'static str,
+    /// Span covering one fresh solve; also the per-point log target.
+    pub point: &'static str,
+    /// Worker-thread name prefix registered with the merge sink.
+    pub worker_prefix: &'static str,
+}
+
 /// Execution knobs for one scheduler round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecOptions {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions<'a> {
     /// Worker-thread count (clamped to at least 1 and at most the
     /// point count).
     pub workers: usize,
@@ -66,6 +82,11 @@ pub struct ExecOptions {
     /// the deterministic "kill" lever the resume tests and the CI
     /// smoke job use.
     pub budget: Option<u64>,
+    /// Cooperative cancellation flag, checked between points — the
+    /// graceful-drain hook for `ia-serve` jobs.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Incremented once per completed point, for live status reads.
+    pub progress: Option<&'a AtomicU64>,
 }
 
 /// What one scheduler round did.
@@ -82,34 +103,40 @@ pub struct ExecOutcome {
     pub skipped: u64,
 }
 
+/// A per-point function the workers share.
+type PointFn<'a, P, T> = &'a (dyn Fn(&P) -> T + Sync);
+
 /// Shared worker state for one round.
-struct Round<'a> {
-    points: &'a [Point],
+struct Round<'a, P, E> {
+    names: &'a ExecNames,
+    points: &'a [P],
+    key: PointFn<'a, P, u128>,
+    solve: PointFn<'a, P, Result<CachedSolve, E>>,
     cache: &'a dyn PointCache,
-    solver: &'a dyn PointSolver,
+    opts: &'a ExecOptions<'a>,
     queue: Mutex<VecDeque<usize>>,
     results: Mutex<Vec<Option<CachedSolve>>>,
     solved: AtomicU64,
     cached: AtomicU64,
-    budget: Option<u64>,
     budget_used: AtomicU64,
-    cancel: Option<&'a AtomicBool>,
-    progress: Option<&'a AtomicU64>,
     halt: AtomicBool,
-    error: Mutex<Option<DseError>>,
+    error: Mutex<Option<E>>,
 }
 
-impl Round<'_> {
+impl<P, E> Round<'_, P, E> {
     fn halted(&self) -> bool {
         self.halt.load(Ordering::SeqCst)
-            || self.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst))
+            || self
+                .opts
+                .cancel
+                .is_some_and(|flag| flag.load(Ordering::SeqCst))
     }
 
     /// Claims one unit of fresh-solve budget, if any remains.
     fn admit(&self) -> bool {
         self.budget_used
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
-                match self.budget {
+                match self.opts.budget {
                     Some(budget) if used >= budget => None,
                     _ => Some(used + 1),
                 }
@@ -121,18 +148,18 @@ impl Round<'_> {
         if let Some(slot) = lock(&self.results).get_mut(index) {
             *slot = Some(value);
         }
-        if let Some(progress) = self.progress {
+        if let Some(progress) = self.opts.progress {
             progress.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn fail(&self, error: DseError) {
+    fn fail(&self, error: E) {
         lock(&self.error).get_or_insert(error);
         self.halt.store(true, Ordering::SeqCst);
     }
 }
 
-fn drain(round: &Round<'_>) {
+fn drain<P, E>(round: &Round<'_, P, E>) {
     loop {
         if round.halted() {
             return;
@@ -143,10 +170,10 @@ fn drain(round: &Round<'_>) {
         let Some(point) = round.points.get(index) else {
             return;
         };
-        let key = point.key();
+        let key = (round.key)(point);
         if let Some(hit) = round.cache.lookup(key) {
             round.cached.fetch_add(1, Ordering::SeqCst);
-            counter_add(names::POINTS_CACHED, 1);
+            counter_add(round.names.cached, 1);
             round.record(index, hit);
             continue;
         }
@@ -157,21 +184,21 @@ fn drain(round: &Round<'_>) {
             return;
         }
         let outcome = {
-            let _span = ia_obs::span(names::SPAN_POINT);
-            round.solver.solve_point(point)
+            let _span = ia_obs::span(round.names.point);
+            (round.solve)(point)
         };
         match outcome {
             Ok(value) => {
                 round.cache.store(key, value);
                 round.solved.fetch_add(1, Ordering::SeqCst);
-                counter_add(names::POINTS_SOLVED, 1);
+                counter_add(round.names.solved, 1);
                 // Rate-limited so a dense grid logs a sample of its
                 // points, not all of them.
                 static POINT_LOG: RateLimit = RateLimit::new(256, 1_000_000_000);
                 obs_log::log_limited(
                     &POINT_LOG,
                     LogLevel::Debug,
-                    "dse.point",
+                    round.names.point,
                     "point solved",
                     vec![
                         ("key", JsonValue::Str(format!("{key:032x}"))),
@@ -188,38 +215,34 @@ fn drain(round: &Round<'_>) {
     }
 }
 
-/// Executes `points` against `cache` on a bounded worker pool.
-///
-/// `cancel` (when given) stops the round cooperatively between
-/// points — the graceful-drain hook for `ia-serve` jobs; `progress`
-/// (when given) is incremented once per completed point for live
-/// status reads; `solver` (when given) replaces the in-process DP
-/// solver — the fleet coordinator's remote-dispatch hook.
+/// Executes `points` against `cache` on a bounded worker pool: `key`
+/// is a point's content address, `solve` its cache-miss path, and
+/// `names` the telemetry the round emits.
 ///
 /// # Errors
 ///
-/// Returns the first point's [`DseError`] (binding/solve failure), or
-/// [`DseError::WorkerPanicked`] if a worker died.
-pub fn execute(
-    points: &[Point],
+/// Returns the first point's `solve` error, or
+/// [`DseError::WorkerPanicked`] (converted) if a worker died.
+pub fn execute<P: Sync, E: Send + From<DseError>>(
+    names: &ExecNames,
+    points: &[P],
+    key: &(dyn Fn(&P) -> u128 + Sync),
+    solve: &(dyn Fn(&P) -> Result<CachedSolve, E> + Sync),
     cache: &dyn PointCache,
-    opts: &ExecOptions,
-    cancel: Option<&AtomicBool>,
-    progress: Option<&AtomicU64>,
-    solver: Option<&dyn PointSolver>,
-) -> Result<ExecOutcome, DseError> {
+    opts: &ExecOptions<'_>,
+) -> Result<ExecOutcome, E> {
     let round = Round {
+        names,
         points,
+        key,
+        solve,
         cache,
-        solver: solver.unwrap_or(&LocalSolver),
+        opts,
         queue: Mutex::new((0..points.len()).collect()),
         results: Mutex::new(vec![None; points.len()]),
         solved: AtomicU64::new(0),
         cached: AtomicU64::new(0),
-        budget: opts.budget,
         budget_used: AtomicU64::new(0),
-        cancel,
-        progress,
         halt: AtomicBool::new(false),
         error: Mutex::new(None),
     };
@@ -235,7 +258,7 @@ pub fn execute(
             let round = &round;
             let sink = &sink;
             handles.push(scope.spawn(move || {
-                let _guard = sink.register_worker(&format!("{}{i}", names::WORKER_PREFIX));
+                let _guard = sink.register_worker(&format!("{}{i}", names.worker_prefix));
                 let _ctx = ia_obs::push_context(ctx);
                 drain(round);
             }));
@@ -250,14 +273,14 @@ pub fn execute(
     // thread-local collector before reporting anything.
     sink.collect();
     if panicked {
-        return Err(DseError::WorkerPanicked);
+        return Err(DseError::WorkerPanicked.into());
     }
     if let Some(error) = lock(&round.error).take() {
         return Err(error);
     }
     let skipped = u64::try_from(lock(&round.queue).len()).unwrap_or(u64::MAX);
     if skipped > 0 {
-        counter_add(names::POINTS_SKIPPED, skipped);
+        counter_add(names.skipped, skipped);
     }
     let results = lock(&round.results).clone();
     Ok(ExecOutcome {
@@ -271,6 +294,7 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
     use crate::point::expand;
     use crate::spec::ExperimentSpec;
     use std::collections::BTreeMap;
@@ -293,6 +317,21 @@ mod tests {
         }
     }
 
+    fn run(
+        points: &[Point],
+        cache: &MapCache,
+        opts: &ExecOptions<'_>,
+    ) -> Result<ExecOutcome, DseError> {
+        execute(
+            &names::EXEC,
+            points,
+            &Point::key,
+            &|p: &Point| LocalSolver.solve_point(p),
+            cache,
+            opts,
+        )
+    }
+
     fn points() -> Vec<Point> {
         let spec = ExperimentSpec::parse_str(
             r#"{"name": "sched", "base": {"gates": 20000, "bunch": 2000},
@@ -308,15 +347,15 @@ mod tests {
         let cache = MapCache::default();
         let opts = ExecOptions {
             workers: 3,
-            budget: None,
+            ..ExecOptions::default()
         };
-        let first = execute(&points, &cache, &opts, None, None, None).unwrap();
+        let first = run(&points, &cache, &opts).unwrap();
         assert_eq!(first.solved, 4);
         assert_eq!(first.cached, 0);
         assert_eq!(first.skipped, 0);
         assert!(first.results.iter().all(Option::is_some));
 
-        let second = execute(&points, &cache, &opts, None, None, None).unwrap();
+        let second = run(&points, &cache, &opts).unwrap();
         assert_eq!(second.solved, 0);
         assert_eq!(second.cached, 4);
         assert_eq!(second.results, first.results);
@@ -329,14 +368,15 @@ mod tests {
         let budgeted = ExecOptions {
             workers: 1,
             budget: Some(2),
+            ..ExecOptions::default()
         };
-        let first = execute(&points, &cache, &budgeted, None, None, None).unwrap();
+        let first = run(&points, &cache, &budgeted).unwrap();
         assert_eq!(first.solved, 2);
         assert_eq!(first.skipped, 2);
 
         // Resuming under the same budget finishes: the two completed
         // points are free hits, the remaining two consume the budget.
-        let second = execute(&points, &cache, &budgeted, None, None, None).unwrap();
+        let second = run(&points, &cache, &budgeted).unwrap();
         assert_eq!(second.cached, 2);
         assert_eq!(second.solved, 2);
         assert_eq!(second.skipped, 0);
@@ -347,18 +387,12 @@ mod tests {
         let points = points();
         let cache = MapCache::default();
         let cancel = AtomicBool::new(true);
-        let outcome = execute(
-            &points,
-            &cache,
-            &ExecOptions {
-                workers: 2,
-                budget: None,
-            },
-            Some(&cancel),
-            None,
-            None,
-        )
-        .unwrap();
+        let opts = ExecOptions {
+            workers: 2,
+            cancel: Some(&cancel),
+            ..ExecOptions::default()
+        };
+        let outcome = run(&points, &cache, &opts).unwrap();
         assert_eq!(outcome.solved, 0);
         assert_eq!(outcome.skipped, 4);
     }
@@ -371,18 +405,11 @@ mod tests {
         .unwrap();
         let points = expand(&spec).unwrap();
         let cache = MapCache::default();
-        let err = execute(
-            &points,
-            &cache,
-            &ExecOptions {
-                workers: 1,
-                budget: None,
-            },
-            None,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let opts = ExecOptions {
+            workers: 1,
+            ..ExecOptions::default()
+        };
+        let err = run(&points, &cache, &opts).unwrap_err();
         assert!(err.to_string().contains("unknown node"));
     }
 }

@@ -12,11 +12,10 @@
 //! interrupted spec a resume instead of a restart.
 
 use ia_obs::json::JsonValue;
-use ia_rank::canon::{fnv1a_128, BoundConfig};
-use ia_rank::sweep;
-use ia_units::convert::f64_to_u64_checked;
+use ia_rank::canon::{fnv1a_128, BindError, BoundConfig, Knob};
 
 use crate::error::DseError;
+use crate::store::{run_id, RunSpec};
 
 /// Hard ceiling on the expanded point count of any one spec; a spec
 /// whose grid multiplies out beyond this is rejected at parse time
@@ -27,137 +26,9 @@ fn bad(message: impl Into<String>) -> DseError {
     DseError::Spec(message.into())
 }
 
-/// A knob an axis can sweep: the paper's four Table 4 knobs plus the
-/// design-scale and stack knobs of the canonical configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Knob {
-    /// ILD permittivity `K`.
-    K,
-    /// Miller coupling factor `M`.
-    M,
-    /// Clock frequency `C`, in **MHz** (matching the base
-    /// configuration's `clock_mhz` field, unlike the serve `/sweep`
-    /// axis which is in hertz).
-    C,
-    /// Repeater area fraction `R`.
-    R,
-    /// Design gate count.
-    Gates,
-    /// Coarsening bunch size.
-    Bunch,
-    /// Global layer-pair count.
-    Global,
-    /// Semi-global layer-pair count.
-    SemiGlobal,
-    /// Local layer-pair count.
-    Local,
-    /// Placement-suboptimality factor `γ` (the corpus stress axis):
-    /// `1.0` is the pristine closed-form WLD, larger values stretch
-    /// the distribution's tail before solving.
-    Corpus,
-}
-
-impl Knob {
-    /// Parses a spec's `knob` field (canonical labels, any case).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::Spec`] for an unknown knob name.
-    pub fn parse(text: &str) -> Result<Self, DseError> {
-        match text.to_ascii_lowercase().as_str() {
-            "k" => Ok(Knob::K),
-            "m" => Ok(Knob::M),
-            "c" => Ok(Knob::C),
-            "r" => Ok(Knob::R),
-            "gates" => Ok(Knob::Gates),
-            "bunch" => Ok(Knob::Bunch),
-            "global" => Ok(Knob::Global),
-            "semi_global" => Ok(Knob::SemiGlobal),
-            "local" => Ok(Knob::Local),
-            "corpus" => Ok(Knob::Corpus),
-            other => Err(bad(format!(
-                "unknown knob `{other}` (expected k, m, c, r, gates, bunch, \
-                 global, semi_global, local or corpus)"
-            ))),
-        }
-    }
-
-    /// The knob's canonical spec/report label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Knob::K => "k",
-            Knob::M => "m",
-            Knob::C => "c",
-            Knob::R => "r",
-            Knob::Gates => "gates",
-            Knob::Bunch => "bunch",
-            Knob::Global => "global",
-            Knob::SemiGlobal => "semi_global",
-            Knob::Local => "local",
-            Knob::Corpus => "corpus",
-        }
-    }
-
-    /// Whether the knob only takes non-negative integer values.
-    #[must_use]
-    pub fn is_integer(self) -> bool {
-        matches!(
-            self,
-            Knob::Gates | Knob::Bunch | Knob::Global | Knob::SemiGlobal | Knob::Local
-        )
-    }
-
-    /// The paper's published grid for the four Table 4 knobs (`c` in
-    /// MHz), used when an axis lists no values; the scale/stack knobs
-    /// have no published grid and must list values explicitly.
-    #[must_use]
-    pub fn default_values(self) -> Option<Vec<f64>> {
-        match self {
-            Knob::K => Some(sweep::PAPER_K_VALUES.to_vec()),
-            Knob::M => Some(sweep::PAPER_M_VALUES.to_vec()),
-            Knob::C => Some(sweep::PAPER_C_HERTZ.iter().map(|hz| hz / 1.0e6).collect()),
-            Knob::R => Some(sweep::PAPER_R_VALUES.to_vec()),
-            _ => None,
-        }
-    }
-
-    /// Rebinds this knob to `x` in `config` — the bridge between an
-    /// axis coordinate and the content-addressed configuration.
-    pub(crate) fn apply(self, config: &mut BoundConfig, x: f64) -> Result<(), DseError> {
-        if !x.is_finite() {
-            return Err(bad(format!("axis `{}` value must be finite", self.label())));
-        }
-        match self {
-            Knob::K => config.k = Some(x),
-            Knob::M => config.miller = x,
-            Knob::C => config.clock_mhz = x,
-            Knob::R => config.fraction = x,
-            Knob::Gates => config.gates = self.count(x)?,
-            Knob::Bunch => config.bunch = self.count(x)?,
-            Knob::Global => config.global = self.count(x)?,
-            Knob::SemiGlobal => config.semi_global = self.count(x)?,
-            Knob::Local => config.local = self.count(x)?,
-            Knob::Corpus => {
-                if x < 1.0 {
-                    return Err(bad(format!("axis `corpus` value {x} is below 1 (γ ≥ 1)")));
-                }
-                config.degrade = x;
-            }
-        }
-        Ok(())
-    }
-
-    fn count(self, x: f64) -> Result<u64, DseError> {
-        f64_to_u64_checked(x)
-            .filter(|_| x.fract() == 0.0)
-            .ok_or_else(|| {
-                bad(format!(
-                    "axis `{}` value {x} is not a non-negative integer",
-                    self.label()
-                ))
-            })
-    }
+/// A rejected knob name or value is a spec error.
+pub(crate) fn bad_knob(e: BindError) -> DseError {
+    bad(e.to_string())
 }
 
 /// One axis of the exploration: a knob and the values to visit,
@@ -182,12 +53,11 @@ impl AxisSpec {
         if values.is_empty() {
             return Err(bad(format!("axis `{}` lists no values", knob.label())));
         }
-        let mut checked = BoundConfig::default();
         for &x in &values {
             // Validates finiteness and integrality via the same path
             // expansion uses, so parse-time acceptance is execution-
             // time acceptance.
-            knob.apply(&mut checked, x)?;
+            BoundConfig::default().with(knob, x).map_err(bad_knob)?;
         }
         let mut values = values;
         values.sort_by(f64::total_cmp);
@@ -470,14 +340,11 @@ impl ExperimentSpec {
         fnv1a_128(self.to_json().render().as_bytes())
     }
 
-    /// The run id: the first 16 hex digits of [`Self::spec_hash`].
-    /// The same spec always maps to the same `runs/<run_id>/`
-    /// directory, which is what makes re-running an interrupted spec
-    /// a resume.
+    /// The run id: the first 16 hex digits of [`Self::spec_hash`]
+    /// (see [`run_id`]).
     #[must_use]
     pub fn run_id(&self) -> String {
-        let hex = format!("{:032x}", self.spec_hash());
-        hex.chars().take(16).collect()
+        run_id(self.spec_hash())
     }
 
     /// The effective random-sampling seed: the spec's explicit seed,
@@ -499,6 +366,24 @@ impl ExperimentSpec {
         let lo = u64::try_from(hash & u128::from(u64::MAX)).unwrap_or(0);
         let hi = u64::try_from(hash >> 64).unwrap_or(0);
         lo ^ hi
+    }
+}
+
+impl RunSpec for ExperimentSpec {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn spec_hash(&self) -> u128 {
+        ExperimentSpec::spec_hash(self)
+    }
+
+    fn to_json(&self) -> JsonValue {
+        ExperimentSpec::to_json(self)
+    }
+
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        ExperimentSpec::from_json(doc).map_err(|e| e.to_string())
     }
 }
 
@@ -629,7 +514,7 @@ fn parse_axis(doc: &JsonValue) -> Result<AxisSpec, DseError> {
                 let text = value
                     .as_str()
                     .ok_or_else(|| bad("axis `knob` must be a string"))?;
-                knob = Some(Knob::parse(text)?);
+                knob = Some(Knob::parse(text).map_err(bad_knob)?);
             }
             "values" => {
                 let items = value
@@ -1191,11 +1076,10 @@ steps = 3
         .unwrap();
         assert_eq!(spec.axes[0].knob, Knob::Corpus);
         assert!(!Knob::Corpus.is_integer());
-        let mut config = BoundConfig::default();
-        Knob::Corpus.apply(&mut config, 1.5).unwrap();
+        let config = BoundConfig::default().with(Knob::Corpus, 1.5).unwrap();
         assert!((config.degrade - 1.5).abs() < f64::EPSILON);
         // γ < 1 would *improve* the placement; the axis refuses it.
-        assert!(Knob::Corpus.apply(&mut config, 0.9).is_err());
+        assert!(config.clone().with(Knob::Corpus, 0.9).is_err());
         // The wire form round-trips the degraded configuration exactly
         // and elides the identity factor.
         let wire = config_to_json(&config);

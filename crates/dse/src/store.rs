@@ -1,17 +1,23 @@
-//! The resumable on-disk run store: `runs/<run_id>/`.
+//! The resumable on-disk run store: `runs/<run_id>/`, shared by
+//! `ia-dse` experiments and `ia-corpus` runs.
 //!
 //! Layout:
 //!
-//! * `manifest.json` — format version, experiment name, run id, and
-//!   the spec in canonical JSON (the manifest *is* the resume spec —
-//!   `dse resume` needs nothing but the directory).
+//! * `manifest.json` — format version, spec name, run id, and the
+//!   spec in canonical JSON (the manifest *is* the resume spec —
+//!   `dse resume` needs nothing but the directory). Any [`RunSpec`]
+//!   can be stored.
 //! * `results.jsonl` — append-only, one completed point per line:
 //!   `{"key": "<32-hex content address>", "solve": {...}}`. Every
 //!   append is flushed, so a killed run loses at most the line being
-//!   written; on load a truncated **final** line is tolerated (the
-//!   point simply re-solves), while corruption anywhere else is a
-//!   loud [`DseError::Corrupt`] — resumability must never silently
-//!   drop completed work.
+//!   written. On load, a line cut off mid-record (its JSON parse fails
+//!   at its last character) is skipped wherever it sits — the point
+//!   simply re-solves — while any other malformed line is a loud
+//!   [`DseError::Corrupt`]: resumability must never silently drop
+//!   completed work. A torn tail is never truncated (fleet workers
+//!   append to one journal from several processes, so the tail may
+//!   belong to another writer); the next append starts on a fresh
+//!   line instead.
 //!
 //! The store doubles as a [`PointCache`]: the scheduler's cache hook
 //! reads previously-completed points from it and appends fresh
@@ -22,13 +28,13 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ia_obs::json::JsonValue;
 use ia_rank::sweep::{CachedSolve, PointCache};
 
 use crate::error::DseError;
-use crate::spec::ExperimentSpec;
 
 /// Manifest schema version.
 const FORMAT: u64 = 1;
@@ -37,11 +43,39 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A spec the run store can persist and recover: it names, hashes,
+/// renders and parses itself.
+pub trait RunSpec: Sized {
+    /// The name recorded in the manifest.
+    fn name(&self) -> &str;
+    /// The content hash of the canonical rendering; see [`run_id`].
+    fn spec_hash(&self) -> u128;
+    /// The canonical JSON rendering stored as the manifest's `spec`.
+    fn to_json(&self) -> JsonValue;
+    /// Parses the manifest's `spec` back.
+    ///
+    /// # Errors
+    ///
+    /// Returns the validation message; the store reports it as
+    /// [`DseError::Corrupt`].
+    fn from_json(doc: &JsonValue) -> Result<Self, String>;
+}
+
+/// The run id of a spec hash: its first 16 hex digits. The same spec
+/// always maps to the same `runs/<run_id>/` directory, which is what
+/// makes re-running an interrupted spec a resume.
+#[must_use]
+pub fn run_id(spec_hash: u128) -> String {
+    format!("{spec_hash:032x}").chars().take(16).collect()
+}
+
 /// One run directory with its append-only results log held open.
 #[derive(Debug)]
 pub struct RunStore {
     dir: PathBuf,
     log: Mutex<BufWriter<File>>,
+    /// Whether the log last read from disk ends mid-line.
+    torn_tail: AtomicBool,
 }
 
 impl RunStore {
@@ -56,14 +90,14 @@ impl RunStore {
     /// Returns [`DseError::Io`] for filesystem failures and
     /// [`DseError::Corrupt`] for a manifest/spec mismatch or an
     /// unreadable log.
-    pub fn open_or_create(
+    pub fn open_or_create<S: RunSpec>(
         runs_root: &Path,
-        spec: &ExperimentSpec,
+        spec: &S,
     ) -> Result<(RunStore, BTreeMap<u128, CachedSolve>), DseError> {
-        let dir = runs_root.join(spec.run_id());
+        let dir = runs_root.join(run_id(spec.spec_hash()));
         let manifest_path = dir.join("manifest.json");
         if manifest_path.is_file() {
-            let stored = read_manifest(&manifest_path)?;
+            let stored: S = read_manifest(&manifest_path)?;
             if stored.spec_hash() != spec.spec_hash() {
                 return Err(DseError::Corrupt {
                     path: manifest_path.display().to_string(),
@@ -74,9 +108,7 @@ impl RunStore {
             fs::create_dir_all(&dir).map_err(|e| DseError::io(&dir, &e))?;
             write_manifest(&manifest_path, spec)?;
         }
-        let completed = load_results(&dir.join("results.jsonl"))?;
-        let store = RunStore::open_log(dir)?;
-        Ok((store, completed))
+        RunStore::open_log(dir)
     }
 
     /// Opens an existing run directory for resumption, recovering the
@@ -86,26 +118,28 @@ impl RunStore {
     ///
     /// Returns [`DseError::Io`] / [`DseError::Corrupt`] when the
     /// directory is not a readable run store.
-    pub fn open(
+    pub fn open<S: RunSpec>(
         run_dir: &Path,
-    ) -> Result<(RunStore, ExperimentSpec, BTreeMap<u128, CachedSolve>), DseError> {
+    ) -> Result<(RunStore, S, BTreeMap<u128, CachedSolve>), DseError> {
         let spec = read_manifest(&run_dir.join("manifest.json"))?;
-        let completed = load_results(&run_dir.join("results.jsonl"))?;
-        let store = RunStore::open_log(run_dir.to_path_buf())?;
+        let (store, completed) = RunStore::open_log(run_dir.to_path_buf())?;
         Ok((store, spec, completed))
     }
 
-    fn open_log(dir: PathBuf) -> Result<RunStore, DseError> {
+    fn open_log(dir: PathBuf) -> Result<(RunStore, BTreeMap<u128, CachedSolve>), DseError> {
         let path = dir.join("results.jsonl");
+        let (completed, torn_tail) = load_results(&path)?;
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(|e| DseError::io(&path, &e))?;
-        Ok(RunStore {
+        let store = RunStore {
             dir,
             log: Mutex::new(BufWriter::new(file)),
-        })
+            torn_tail: AtomicBool::new(torn_tail),
+        };
+        Ok((store, completed))
     }
 
     /// The run directory.
@@ -121,7 +155,9 @@ impl RunStore {
     ///
     /// Returns [`DseError::Io`] / [`DseError::Corrupt`] like open.
     pub fn reload(&self) -> Result<BTreeMap<u128, CachedSolve>, DseError> {
-        load_results(&self.dir.join("results.jsonl"))
+        let (completed, torn_tail) = load_results(&self.dir.join("results.jsonl"))?;
+        self.torn_tail.store(torn_tail, Ordering::SeqCst);
+        Ok(completed)
     }
 
     /// Appends one completed point and flushes it to disk, so a kill
@@ -138,10 +174,20 @@ impl RunStore {
         .render();
         let path = self.dir.join("results.jsonl");
         let mut log = lock(&self.log);
-        log.write_all(line.as_bytes())
+        // After a torn tail, start on a fresh line rather than glue
+        // this record onto the fragment.
+        let fresh: &[u8] = if self.torn_tail.load(Ordering::SeqCst) {
+            b"\n"
+        } else {
+            b""
+        };
+        log.write_all(fresh)
+            .and_then(|()| log.write_all(line.as_bytes()))
             .and_then(|()| log.write_all(b"\n"))
             .and_then(|()| log.flush())
-            .map_err(|e| DseError::io(&path, &e))
+            .map_err(|e| DseError::io(&path, &e))?;
+        self.torn_tail.store(false, Ordering::SeqCst);
+        Ok(())
     }
 }
 
@@ -250,11 +296,14 @@ pub fn solve_from_json(doc: &JsonValue) -> Result<CachedSolve, String> {
     })
 }
 
-fn write_manifest(path: &Path, spec: &ExperimentSpec) -> Result<(), DseError> {
+fn write_manifest<S: RunSpec>(path: &Path, spec: &S) -> Result<(), DseError> {
     let doc = JsonValue::Obj(vec![
         ("format".to_owned(), JsonValue::UInt(FORMAT)),
-        ("name".to_owned(), JsonValue::Str(spec.name.clone())),
-        ("run_id".to_owned(), JsonValue::Str(spec.run_id())),
+        ("name".to_owned(), JsonValue::Str(spec.name().to_owned())),
+        (
+            "run_id".to_owned(),
+            JsonValue::Str(run_id(spec.spec_hash())),
+        ),
         ("spec".to_owned(), spec.to_json()),
         (
             "spec_hash".to_owned(),
@@ -264,7 +313,7 @@ fn write_manifest(path: &Path, spec: &ExperimentSpec) -> Result<(), DseError> {
     fs::write(path, doc.render()).map_err(|e| DseError::io(path, &e))
 }
 
-fn read_manifest(path: &Path) -> Result<ExperimentSpec, DseError> {
+fn read_manifest<S: RunSpec>(path: &Path) -> Result<S, DseError> {
     let corrupt = |message: String| DseError::Corrupt {
         path: path.display().to_string(),
         message,
@@ -283,7 +332,7 @@ fn read_manifest(path: &Path) -> Result<ExperimentSpec, DseError> {
     let spec_doc = doc
         .get("spec")
         .ok_or_else(|| corrupt("manifest has no `spec`".to_owned()))?;
-    let spec = ExperimentSpec::from_json(spec_doc).map_err(|e| corrupt(e.to_string()))?;
+    let spec = S::from_json(spec_doc).map_err(corrupt)?;
     let stored_hash = doc
         .get("spec_hash")
         .and_then(JsonValue::as_str)
@@ -295,26 +344,26 @@ fn read_manifest(path: &Path) -> Result<ExperimentSpec, DseError> {
     Ok(spec)
 }
 
-fn load_results(path: &Path) -> Result<BTreeMap<u128, CachedSolve>, DseError> {
+/// Loads the completed points, and whether the log ends in a torn
+/// (newline-less) tail.
+fn load_results(path: &Path) -> Result<(BTreeMap<u128, CachedSolve>, bool), DseError> {
     let mut completed = BTreeMap::new();
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(completed),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((completed, false)),
         Err(e) => return Err(DseError::io(path, &e)),
     };
-    let lines: Vec<&str> = text.lines().collect();
-    for (index, line) in lines.iter().enumerate() {
+    for (index, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         match parse_result_line(line) {
-            Ok((key, solve)) => {
+            Ok(Some((key, solve))) => {
                 completed.insert(key, solve);
             }
-            // A torn final line is the expected shape of a kill
-            // mid-append: drop it (the point re-solves). Anything
-            // earlier means real corruption.
-            Err(_) if index + 1 == lines.len() => {}
+            // A record cut off by a kill mid-append: the point
+            // re-solves.
+            Ok(None) => {}
             Err(message) => {
                 return Err(DseError::Corrupt {
                     path: path.display().to_string(),
@@ -323,11 +372,18 @@ fn load_results(path: &Path) -> Result<BTreeMap<u128, CachedSolve>, DseError> {
             }
         }
     }
-    Ok(completed)
+    let torn_tail = !text.is_empty() && !text.ends_with('\n');
+    Ok((completed, torn_tail))
 }
 
-fn parse_result_line(line: &str) -> Result<(u128, CachedSolve), String> {
-    let doc = JsonValue::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+/// Parses one results line; `Ok(None)` is a record cut off mid-write
+/// (its JSON parse fails at its last character).
+fn parse_result_line(line: &str) -> Result<Option<(u128, CachedSolve)>, String> {
+    let doc = match JsonValue::parse(line) {
+        Ok(doc) => doc,
+        Err(e) if e.offset + 1 >= line.chars().count() => return Ok(None),
+        Err(e) => return Err(format!("bad JSON: {e}")),
+    };
     let key_hex = doc
         .get("key")
         .and_then(JsonValue::as_str)
@@ -337,7 +393,7 @@ fn parse_result_line(line: &str) -> Result<(u128, CachedSolve), String> {
         .get("solve")
         .ok_or_else(|| "missing `solve`".to_owned())?;
     let solve = solve_from_json(solve_doc)?;
-    Ok((key, solve))
+    Ok(Some((key, solve)))
 }
 
 #[cfg(test)]
@@ -389,43 +445,70 @@ mod tests {
         let run_dir = store.dir().to_path_buf();
         drop(store);
 
-        let (_, reopened_spec, completed) = RunStore::open(&run_dir).unwrap();
+        let (_, reopened_spec, completed) = RunStore::open::<ExperimentSpec>(&run_dir).unwrap();
         assert_eq!(reopened_spec, spec);
         assert_eq!(completed.len(), 2);
         assert_eq!(completed.get(&42).unwrap().rank, 5);
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A record cut off by a kill mid-append.
+    const TORN: &str = "{\"key\":\"02\",\"solve\":{\"rank\"";
+
+    fn record(key: u128, rank: u64) -> String {
+        JsonValue::Obj(vec![
+            ("key".to_owned(), JsonValue::Str(format!("{key:032x}"))),
+            ("solve".to_owned(), solve_to_json(&solve(rank))),
+        ])
+        .render()
+    }
+
     #[test]
-    fn torn_final_line_is_tolerated_mid_file_corruption_is_not() {
+    fn torn_lines_are_skipped_other_malformed_lines_are_corrupt() {
         let root = tmp_dir("torn");
-        let spec = spec();
-        let (store, _) = RunStore::open_or_create(&root, &spec).unwrap();
+        let (store, _) = RunStore::open_or_create(&root, &spec()).unwrap();
+        let log = store.dir().join("results.jsonl");
+        let run_dir = store.dir().to_path_buf();
+        drop(store);
+
+        // A torn record is skipped at the tail and mid-file alike.
+        fs::write(&log, format!("{}\n{TORN}", record(1, 5))).unwrap();
+        let (_, _, completed) = RunStore::open::<ExperimentSpec>(&run_dir).unwrap();
+        assert_eq!(completed.len(), 1);
+        fs::write(&log, format!("{TORN}\n{}\n", record(3, 9))).unwrap();
+        let (_, _, completed) = RunStore::open::<ExperimentSpec>(&run_dir).unwrap();
+        assert_eq!(completed.len(), 1);
+
+        // A record glued onto a fragment fails mid-line: corruption.
+        fs::write(&log, format!("{TORN}{}\n", record(3, 9))).unwrap();
+        let err = RunStore::open::<ExperimentSpec>(&run_dir).unwrap_err();
+        assert!(matches!(err, DseError::Corrupt { .. }), "{err}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_resume_after_a_torn_tail_appends_on_a_fresh_line() {
+        let root = tmp_dir("torn-resume");
+        let (store, _) = RunStore::open_or_create(&root, &spec()).unwrap();
         store.append(1, &solve(5)).unwrap();
         let log = store.dir().join("results.jsonl");
         let run_dir = store.dir().to_path_buf();
         drop(store);
 
-        // Simulate a kill mid-append: a torn trailing line.
         let mut text = fs::read_to_string(&log).unwrap();
-        text.push_str("{\"key\":\"02\",\"solve\":{\"rank\"");
+        text.push_str(TORN);
         fs::write(&log, &text).unwrap();
-        let (_, _, completed) = RunStore::open(&run_dir).unwrap();
+        let (store, _, completed) = RunStore::open::<ExperimentSpec>(&run_dir).unwrap();
         assert_eq!(completed.len(), 1);
+        store.append(3, &solve(7)).unwrap();
+        store.append(4, &solve(8)).unwrap();
+        drop(store);
 
-        // The same torn bytes mid-file are corruption.
-        let torn_then_good = format!(
-            "{}\n{}",
-            "{\"key\":\"02\",\"solve\":{\"rank\"",
-            JsonValue::Obj(vec![
-                ("key".to_owned(), JsonValue::Str(format!("{:032x}", 3u128))),
-                ("solve".to_owned(), solve_to_json(&solve(9))),
-            ])
-            .render()
-        );
-        fs::write(&log, torn_then_good).unwrap();
-        let err = RunStore::open(&run_dir).unwrap_err();
-        assert!(matches!(err, DseError::Corrupt { .. }), "{err}");
+        // The fragment is left in place (another writer may own it)
+        // and both new records survive a reopen.
+        let (_, _, completed) = RunStore::open::<ExperimentSpec>(&run_dir).unwrap();
+        assert_eq!(completed.len(), 3);
+        assert!(fs::read_to_string(&log).unwrap().contains(TORN));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -444,7 +527,7 @@ mod tests {
             .replace("store-test", "forged-name");
         fs::write(&manifest, text).unwrap();
         assert!(matches!(
-            RunStore::open(&run_dir).unwrap_err(),
+            RunStore::open::<ExperimentSpec>(&run_dir).unwrap_err(),
             DseError::Corrupt { .. }
         ));
         let _ = fs::remove_dir_all(&root);

@@ -128,36 +128,31 @@ impl SyntheticDesign {
     ///
     /// Returns [`NetlistError::Io`] for filesystem failures.
     pub fn write_to(&self, dir: &Path, stem: &str) -> Result<BookshelfPaths, NetlistError> {
-        let io_err = |path: &Path| {
-            let path = path.display().to_string();
-            move |e: std::io::Error| NetlistError::Io {
-                path,
-                message: e.to_string(),
-            }
-        };
-        std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+        std::fs::create_dir_all(dir).map_err(|e| io_error(dir, &e))?;
         let paths = BookshelfPaths {
             nodes: dir.join(format!("{stem}.nodes")),
             nets: dir.join(format!("{stem}.nets")),
             pl: dir.join(format!("{stem}.pl")),
         };
-
-        let mut nodes = buffered(&paths.nodes)?;
-        let mut pl = buffered(&paths.pl)?;
-        writeln!(
-            nodes,
-            "UCLA nodes 1.0\nNumNodes : {}\nNumTerminals : 0",
-            self.cells
-        )
-        .map_err(io_err(&paths.nodes))?;
-        writeln!(pl, "UCLA pl 1.0").map_err(io_err(&paths.pl))?;
-        for cell in 0..self.cells {
-            let (x, y) = self.position(cell);
-            writeln!(nodes, "c{cell} 1 1").map_err(io_err(&paths.nodes))?;
-            writeln!(pl, "c{cell} {x} {y} : N").map_err(io_err(&paths.pl))?;
-        }
-        nodes.flush().map_err(io_err(&paths.nodes))?;
-        pl.flush().map_err(io_err(&paths.pl))?;
+        write_file(&paths.nodes, |out| {
+            writeln!(
+                out,
+                "UCLA nodes 1.0\nNumNodes : {}\nNumTerminals : 0",
+                self.cells
+            )?;
+            for cell in 0..self.cells {
+                writeln!(out, "c{cell} 1 1")?;
+            }
+            Ok(())
+        })?;
+        write_file(&paths.pl, |out| {
+            writeln!(out, "UCLA pl 1.0")?;
+            for cell in 0..self.cells {
+                let (x, y) = self.position(cell);
+                writeln!(out, "c{cell} {x} {y} : N")?;
+            }
+            Ok(())
+        })?;
 
         // Two passes over the same deterministic stream: the first
         // counts pins for the header, the second writes — keeping the
@@ -169,35 +164,44 @@ impl SyntheticDesign {
             let (_, sinks) = self.draw_net(&mut rng);
             pins += 1 + sinks.len() as u64;
         }
-        let mut nets = buffered(&paths.nets)?;
-        writeln!(
-            nets,
-            "UCLA nets 1.0\nNumNets : {}\nNumPins : {pins}",
-            self.nets
-        )
-        .map_err(io_err(&paths.nets))?;
-        let mut rng = self.seed;
-        for net in 0..self.nets {
-            let (driver, sinks) = self.draw_net(&mut rng);
-            writeln!(nets, "NetDegree : {} n{net}", 1 + sinks.len())
-                .map_err(io_err(&paths.nets))?;
-            writeln!(nets, "  c{driver} O : 0 0").map_err(io_err(&paths.nets))?;
-            for sink in sinks {
-                writeln!(nets, "  c{sink} I : 0 0").map_err(io_err(&paths.nets))?;
+        write_file(&paths.nets, |out| {
+            writeln!(
+                out,
+                "UCLA nets 1.0\nNumNets : {}\nNumPins : {pins}",
+                self.nets
+            )?;
+            let mut rng = self.seed;
+            for net in 0..self.nets {
+                let (driver, sinks) = self.draw_net(&mut rng);
+                writeln!(out, "NetDegree : {} n{net}", 1 + sinks.len())?;
+                writeln!(out, "  c{driver} O : 0 0")?;
+                for sink in sinks {
+                    writeln!(out, "  c{sink} I : 0 0")?;
+                }
             }
-        }
-        nets.flush().map_err(io_err(&paths.nets))?;
+            Ok(())
+        })?;
         Ok(paths)
     }
 }
 
-fn buffered(path: &Path) -> Result<std::io::BufWriter<std::fs::File>, NetlistError> {
+/// Creates `path` and fills it through a buffered writer, reporting
+/// any failure against the path.
+fn write_file(
+    path: &Path,
+    body: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), NetlistError> {
     std::fs::File::create(path)
         .map(std::io::BufWriter::new)
-        .map_err(|e| NetlistError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        .and_then(|mut out| body(&mut out).and_then(|()| out.flush()))
+        .map_err(|e| io_error(path, &e))
+}
+
+fn io_error(path: &Path, e: &std::io::Error) -> NetlistError {
+    NetlistError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
 }
 
 #[cfg(test)]

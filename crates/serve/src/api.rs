@@ -10,8 +10,8 @@
 
 use ia_obs::json::JsonValue;
 use ia_rank::canon::BoundConfig;
-use ia_rank::sensitivity::{Elasticity, Knob, KnobSensitivity, OperatingPoint};
-use ia_rank::sweep::{self, CachedSolve, SweepPoint};
+use ia_rank::sensitivity::{Elasticity, KnobSensitivity};
+use ia_rank::sweep::{Axis, CachedSolve, SweepPoint};
 use ia_report::Table;
 use serde::{Deserialize, Serialize};
 
@@ -160,84 +160,6 @@ impl SolveRequest {
             degrade: self.degrade,
         }
     }
-
-    /// The request with one sweep axis rebound to `x` — the bridge
-    /// between a swept value and the solve-request content address.
-    pub(crate) fn with_axis(&self, axis: Axis, x: f64) -> SolveRequest {
-        let mut bound = self.clone();
-        match axis {
-            Axis::K => bound.k = Some(x),
-            Axis::M => bound.miller = x,
-            Axis::C => bound.clock_mhz = x / 1.0e6,
-            Axis::R => bound.fraction = x,
-        }
-        bound
-    }
-
-    /// The operating point this request binds (for `/sensitivity`).
-    /// An unset `K` falls back to the paper's 3.9 baseline.
-    pub(crate) fn operating_point(&self) -> OperatingPoint {
-        OperatingPoint {
-            permittivity: self.k.unwrap_or(3.9),
-            miller_factor: self.miller,
-            clock_hz: self.clock_mhz * 1.0e6,
-            repeater_fraction: self.fraction,
-        }
-    }
-}
-
-/// A sweep axis (the four Table 4 columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Axis {
-    /// ILD permittivity `K`.
-    K,
-    /// Miller factor `M`.
-    M,
-    /// Clock frequency `C` (values in hertz).
-    C,
-    /// Repeater fraction `R`.
-    R,
-}
-
-impl Axis {
-    /// Parses the `axis` body field (`"k"|"m"|"c"|"r"`, any case).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApiError`] for any other string.
-    pub fn parse(text: &str) -> Result<Self, ApiError> {
-        match text.to_ascii_lowercase().as_str() {
-            "k" => Ok(Axis::K),
-            "m" => Ok(Axis::M),
-            "c" => Ok(Axis::C),
-            "r" => Ok(Axis::R),
-            other => Err(bad(format!(
-                "unknown axis `{other}` (expected k, m, c or r)"
-            ))),
-        }
-    }
-
-    /// The axis' table/response label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Axis::K => "k",
-            Axis::M => "m",
-            Axis::C => "c",
-            Axis::R => "r",
-        }
-    }
-
-    /// The paper's Table 4 grid for this axis.
-    #[must_use]
-    pub fn paper_values(self) -> &'static [f64] {
-        match self {
-            Axis::K => &sweep::PAPER_K_VALUES,
-            Axis::M => &sweep::PAPER_M_VALUES,
-            Axis::C => &sweep::PAPER_C_HERTZ,
-            Axis::R => &sweep::PAPER_R_VALUES,
-        }
-    }
 }
 
 /// `POST /sweep`'s body: a base configuration plus the axis to sweep.
@@ -276,7 +198,7 @@ impl SweepRequest {
                     let text = value
                         .as_str()
                         .ok_or_else(|| bad("`axis` must be a string"))?;
-                    axis = Some(Axis::parse(text)?);
+                    axis = Some(Axis::parse(text).map_err(|e| bad(e.to_string()))?);
                 }
                 "values" => {
                     let items = value
@@ -400,7 +322,10 @@ pub fn sensitivity_response(report: &[KnobSensitivity]) -> JsonValue {
                 Elasticity::Undefined => JsonValue::Null,
             };
             JsonValue::Obj(vec![
-                ("knob".to_owned(), JsonValue::Str(knob_label(s.knob))),
+                (
+                    "knob".to_owned(),
+                    JsonValue::Str(s.knob.symbol().to_owned()),
+                ),
                 ("at".to_owned(), JsonValue::Num(s.at)),
                 (
                     "baseline_normalized".to_owned(),
@@ -413,22 +338,17 @@ pub fn sensitivity_response(report: &[KnobSensitivity]) -> JsonValue {
     JsonValue::Obj(vec![("sensitivities".to_owned(), JsonValue::Arr(rendered))])
 }
 
-fn knob_label(knob: Knob) -> String {
-    match knob {
-        Knob::Permittivity => "K",
-        Knob::MillerFactor => "M",
-        Knob::Clock => "C",
-        Knob::RepeaterFraction => "R",
-    }
-    .to_owned()
-}
-
-/// Renders sweep points as an aligned text table — the same shape the
-/// CLI's `sweep` subcommand prints, shared through `ia-report` so the
-/// HTTP and CLI surfaces stay consistent.
+/// Renders sweep points as an aligned text table — what the CLI's
+/// `sweep` subcommand prints. The `C` column is headed with its hertz
+/// unit.
 #[must_use]
-pub fn sweep_table(label: &str, points: &[SweepPoint]) -> String {
-    let mut table = Table::new([label, "rank", "normalized"]);
+pub fn sweep_table(axis: Axis, points: &[SweepPoint]) -> String {
+    let heading = if axis == Axis::C {
+        "C (Hz)"
+    } else {
+        axis.symbol()
+    };
+    let mut table = Table::new([heading, "rank", "normalized"]);
     for p in points {
         table.row([
             format!("{:.4e}", p.x),
@@ -497,23 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn axis_paper_values_match_table4_grids() {
-        assert_eq!(Axis::K.paper_values().len(), 22);
-        assert_eq!(Axis::M.paper_values().len(), 21);
-        assert_eq!(Axis::C.paper_values().len(), 13);
-        assert_eq!(Axis::R.paper_values().len(), 5);
-        assert!(Axis::parse("X").is_err());
-        assert_eq!(Axis::parse("K").unwrap(), Axis::K);
-    }
-
-    #[test]
     fn sweep_table_renders_rows() {
         let points = [SweepPoint {
             x: 3.9,
             rank: 10,
             normalized: 0.5,
         }];
-        let text = sweep_table("K", &points);
+        let text = sweep_table(Axis::K, &points);
         assert!(text.contains("normalized"));
         assert!(text.contains("3.9000e0"));
     }

@@ -1,7 +1,7 @@
 //! Sharded, content-addressed LRU cache with single-flight
 //! deduplication.
 //!
-//! Keys are 128-bit content addresses (see [`crate::canon`]); values
+//! Keys are 128-bit content addresses (see [`ia_rank::canon`]); values
 //! are whatever summary the caller wants to memoize. The map is split
 //! into a fixed number of shards, each behind its own mutex, so
 //! concurrent requests for different keys rarely contend.

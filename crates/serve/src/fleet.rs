@@ -761,10 +761,19 @@ mod tests {
                 let (stream, _) = listener.accept().unwrap();
                 drop(stream);
             }
-            // Recovery: the third attempt gets a real response.
+            // Recovery: the third attempt gets a real response. Read
+            // the whole request first (the client writes its head and
+            // its `{}` body separately): closing with unread bytes
+            // sends a reset that can destroy the response in flight.
             let (mut stream, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
             let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
+            while !request.ends_with(b"{}") {
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&buf[..n]),
+                }
+            }
             let body = r#"{"status": "accepted"}"#;
             let _ = write!(
                 stream,

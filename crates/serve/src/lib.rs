@@ -17,8 +17,10 @@
 //! * `POST /shutdown` — graceful drain-then-exit.
 //!
 //! At its heart sits [`SolveCache`]: a sharded LRU keyed by a
-//! canonical content address of the fully-bound inputs (see
-//! [`canon`]), with single-flight deduplication so a burst of
+//! canonical content address of the fully-bound inputs
+//! (`ia_rank::canon::BoundConfig::cache_key`, the same addresses the
+//! dse and corpus run stores use), with single-flight deduplication
+//! so a burst of
 //! identical requests performs exactly one dynamic-programming solve.
 //! The same cache backs sweep points through `ia-rank`'s `PointCache`
 //! hook, so `/solve` and `/sweep` warm each other.
@@ -33,14 +35,12 @@
 
 pub mod api;
 pub mod cache;
-pub mod canon;
 pub mod client;
 pub mod fleet;
 pub mod http;
 pub mod server;
 
-pub use api::{Axis, SensitivityRequest, SolveRequest, SweepRequest};
+pub use api::{SensitivityRequest, SolveRequest, SweepRequest};
 pub use cache::{CacheOutcome, SolveCache};
-pub use canon::{cache_key, canonical_string, fnv1a_128};
 pub use fleet::{FleetDispatcher, FleetState, WorkerOptions, WorkerOutcome};
 pub use server::{Server, ServerConfig};

@@ -41,18 +41,15 @@ use ia_obs::{
     counter_add, counter_max, histogram_record, FlightRecorder, MergeSink, Profile, Snapshot,
     SpanStat, Stopwatch,
 };
-use ia_rank::canon::BoundProblem;
-use ia_rank::sensitivity::sensitivities;
-use ia_rank::sweep::{self, CachedSolve, PointCache, SweepPoint};
-use ia_rank::{RankError, RankProblemBuilder};
-use ia_units::{Frequency, Permittivity};
+use ia_rank::canon::{BoundConfig, BoundProblem};
+use ia_rank::sensitivity::{sensitivities, OperatingPoint};
+use ia_rank::sweep::{self, Axis, CachedSolve, PointCache};
 
 use crate::api::{
-    sensitivity_response, solve_response, sweep_response, Axis, SensitivityRequest, SolveRequest,
+    sensitivity_response, solve_response, sweep_response, SensitivityRequest, SolveRequest,
     SweepRequest,
 };
 use crate::cache::{CacheOutcome, SolveCache};
-use crate::canon::cache_key;
 use crate::fleet::{FleetDispatcher, FleetState};
 use crate::http::{self, error_body, Request};
 
@@ -988,7 +985,7 @@ fn solve_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
     if over_deadline(shared, started) {
         return (503, error_body("deadline exceeded before solve"));
     }
-    let key = cache_key(&request);
+    let key = request.to_config().cache_key();
     match shared.cache.get_or_compute(key, || solve(&request)) {
         Ok((value, outcome, evicted)) => {
             counter_add(outcome_counter(outcome), 1);
@@ -1017,7 +1014,7 @@ fn outcome_counter(outcome: CacheOutcome) -> &'static str {
 /// sweep warms the point solves and vice versa.
 struct ServeSweepCache<'s> {
     cache: &'s SolveCache<CachedSolve>,
-    base: SolveRequest,
+    base: BoundConfig,
     axis: Axis,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -1025,7 +1022,9 @@ struct ServeSweepCache<'s> {
 
 impl PointCache for ServeSweepCache<'_> {
     fn key(&self, x: f64) -> Option<u128> {
-        Some(cache_key(&self.base.with_axis(self.axis, x)))
+        let (knob, value) = (self.axis.knob(), self.axis.to_knob(x));
+        let config = self.base.clone().with(knob, value).ok()?;
+        Some(config.cache_key())
     }
 
     fn lookup(&self, key: u128) -> Option<CachedSolve> {
@@ -1043,49 +1042,6 @@ impl PointCache for ServeSweepCache<'_> {
         if evicted > 0 {
             counter_add("serve.cache.evictions", evicted);
         }
-    }
-}
-
-fn apply_k(b: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
-    b.permittivity(Permittivity::from_relative(x))
-}
-
-fn apply_m(b: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
-    b.miller_factor(x)
-}
-
-fn apply_c(b: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
-    b.clock(Frequency::from_hertz(x))
-}
-
-fn apply_r(b: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
-    b.repeater_fraction(x)
-}
-
-/// A higher-ranked apply so one fn-pointer type serves both the serial
-/// and the parallel sweep entry points.
-type ApplyFn = for<'b> fn(RankProblemBuilder<'b>, f64) -> RankProblemBuilder<'b>;
-
-fn axis_apply(axis: Axis) -> ApplyFn {
-    match axis {
-        Axis::K => apply_k,
-        Axis::M => apply_m,
-        Axis::C => apply_c,
-        Axis::R => apply_r,
-    }
-}
-
-fn run_axis(
-    parallel: bool,
-    builder: &RankProblemBuilder<'_>,
-    values: &[f64],
-    apply: ApplyFn,
-    cache: &dyn PointCache,
-) -> Result<Vec<SweepPoint>, RankError> {
-    if parallel {
-        sweep::sweep_parallel_cached(builder, values, apply, cache)
-    } else {
-        sweep::sweep_cached(builder, values, apply, cache)
     }
 }
 
@@ -1109,10 +1065,11 @@ fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
         .values
         .clone()
         .unwrap_or_else(|| request.axis.paper_values().to_vec());
+    let axis = request.axis;
     let adapter = ServeSweepCache {
         cache: &shared.cache,
-        base: request.base.clone(),
-        axis: request.axis,
+        base: bound.config.clone(),
+        axis,
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
     };
@@ -1120,13 +1077,12 @@ fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
         Ok(builder) => builder,
         Err(e) => return (400, error_body(&e.to_string())),
     };
-    let points = match run_axis(
-        request.parallel,
-        &builder,
-        &values,
-        axis_apply(request.axis),
-        &adapter,
-    ) {
+    let points = if request.parallel {
+        sweep::sweep_parallel_cached(&builder, &values, |b, x| axis.apply(b, x), &adapter)
+    } else {
+        sweep::sweep_cached(&builder, &values, |b, x| axis.apply(b, x), &adapter)
+    };
+    let points = match points {
         Ok(points) => points,
         Err(e) => return (400, error_body(&format!("{e}"))),
     };
@@ -1161,7 +1117,7 @@ fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u
         Ok(builder) => builder,
         Err(e) => return (400, error_body(&e.to_string())),
     };
-    let point = request.base.operating_point();
+    let point = OperatingPoint::of(&bound.config);
     match sensitivities(&builder, &point, request.step) {
         Ok(report) => {
             if over_deadline(shared, started) {
@@ -1469,19 +1425,5 @@ mod tests {
         assert_eq!(rates.len(), 2);
         assert!(matches!(rates[0].1, JsonValue::Num(r) if (r - 0.5).abs() < 1e-12));
         assert!(matches!(rates[1].1, JsonValue::Num(r) if r == 1.0));
-    }
-
-    #[test]
-    fn sweep_axis_apply_matches_direct_binding() {
-        // Applying the K axis and binding k directly must agree.
-        let request = small_request();
-        let bound = bind_problem(&request).unwrap();
-        let builder = bound.builder().unwrap();
-        let applied = apply_k(builder, 2.7).build().unwrap();
-        let mut direct = request.clone();
-        direct.k = Some(2.7);
-        let direct_solve = solve(&direct).unwrap();
-        let applied_result = applied.rank();
-        assert_eq!(applied_result.rank(), direct_solve.rank);
     }
 }

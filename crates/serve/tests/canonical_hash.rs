@@ -6,8 +6,18 @@
 use std::collections::HashSet;
 
 use ia_obs::json::JsonValue;
-use ia_serve::{cache_key, canonical_string, Axis, SolveRequest};
+use ia_rank::sweep::Axis;
+use ia_serve::SolveRequest;
 use proptest::prelude::*;
+
+/// The solve cache's key for a request.
+fn cache_key(request: &SolveRequest) -> u128 {
+    request.to_config().cache_key()
+}
+
+fn canonical_string(request: &SolveRequest) -> String {
+    request.to_config().canonical_string()
+}
 
 fn grid(axis: Axis) -> &'static [f64] {
     axis.paper_values()

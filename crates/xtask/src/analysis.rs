@@ -497,6 +497,7 @@ const LAYERS: &[(&str, u32)] = &[
     ("core", 4),
     ("dse", 5),
     ("serve", 6),
+    ("corpus", 6),
     ("cli", 7),
     ("bench", 7),
     ("xtask", 7),
@@ -509,7 +510,7 @@ const PAPER_MODEL: &[&str] = &[
 ];
 
 /// The product layers no model crate may reach up into.
-const PRODUCT_LAYERS: &[&str] = &["dse", "serve", "cli", "bench"];
+const PRODUCT_LAYERS: &[&str] = &["dse", "serve", "corpus", "cli", "bench"];
 
 fn layer(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|(_, l)| *l)

@@ -91,13 +91,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Crates whose public APIs model physical quantities, plus the
-/// serving and exploration layers that expose them; rules L2, L3, L7
-/// and L8 apply only to these. `serve` and `dse` are held to the
-/// model-crate bar — waiver-free — so the request path cannot panic,
-/// every worker thread feeds the metrics endpoint, and the dse
-/// scheduler cannot leak queues or threads.
+/// serving, exploration and corpus layers that expose them; rules L2,
+/// L3, L7 and L8 apply only to these. `serve`, `dse` and `corpus` are
+/// held to the model-crate bar — waiver-free — so the request path
+/// cannot panic, every worker thread feeds the metrics endpoint, and
+/// the shared point executor cannot leak queues or threads.
 pub const MODEL_CRATES: &[&str] = &[
-    "units", "tech", "rc", "wld", "delay", "arch", "core", "serve", "dse",
+    "units", "tech", "rc", "wld", "delay", "arch", "core", "serve", "dse", "corpus",
 ];
 
 /// Directory names never linted (third-party shims, build output).
