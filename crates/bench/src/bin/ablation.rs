@@ -9,9 +9,8 @@
 //! 4. **DP vs greedy** on the physical baseline.
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, configured_gates, paper_target_model, BenchReport};
+use ia_bench::{baseline_builder, configured_gates, paper_target_model};
 use ia_delay::{StageCharging, TargetDelayModel};
-use ia_obs::Stopwatch;
 use ia_rank::RankProblem;
 use ia_report::Table;
 use ia_tech::presets;
@@ -25,8 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = WldSpec::new(GATES)?;
 
     println!("Ablation studies, {GATES} gates, 130 nm\n");
-    let mut report = BenchReport::new("ablation");
-    let mut sw = Stopwatch::start();
 
     // 1 + 2: coarsening. The reference is a very fine bunching (125
     // wires per bunch); §5.1 bounds each run's rank error by its own
@@ -55,19 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if let Some(s) = bin_spread {
                 b = b.bin_spread(s);
             }
-            ia_obs::reset();
-            sw.lap_ns();
             let p = b.build()?;
             let r = p.rank();
-            report.case(
-                [
-                    ("study", "coarsening".into()),
-                    ("gates", GATES.into()),
-                    ("bunch", bunch.into()),
-                    ("binning", bin_spread.is_some().into()),
-                ],
-                sw.lap_ns(),
-            );
             let err = r.rank().abs_diff(ref_rank);
             t.row([
                 bunch.to_string(),
@@ -91,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3: stage charging / target model. The regime contrast appears at
     // the paper's full 1M-gate scale, where the linear target's slope
     // drops below the minimum-driver velocity.
-    let regime_gates = configured_gates();
+    let regime_gates = configured_gates()?;
     let regime_spec = WldSpec::new(regime_gates)?;
     println!(
         "— Target-delay & stage-charging regime at {regime_gates} gates (DESIGN.md substitution) —"
@@ -134,27 +120,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4: DP vs greedy at the physical baseline.
     println!("— DP vs greedy baseline —");
     let p = baseline_builder(&node, &arch, GATES).build()?;
-    ia_obs::reset();
-    sw.lap_ns();
     let dp = p.rank();
-    report.case(
-        [
-            ("study", "dp_vs_greedy".into()),
-            ("gates", GATES.into()),
-            ("solver", "dp".into()),
-        ],
-        sw.lap_ns(),
-    );
-    ia_obs::reset();
     let greedy = p.greedy_rank();
-    report.case(
-        [
-            ("study", "dp_vs_greedy".into()),
-            ("gates", GATES.into()),
-            ("solver", "greedy".into()),
-        ],
-        sw.lap_ns(),
-    );
     println!(
         "dp rank {} vs greedy rank {} (dp/greedy = {:.3})",
         dp.rank(),
@@ -162,7 +129,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dp.rank() as f64 / greedy.rank().max(1) as f64
     );
     assert!(greedy.rank() <= dp.rank());
-    let path = report.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

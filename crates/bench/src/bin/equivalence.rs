@@ -4,8 +4,7 @@
 //! 130 nm design.)
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, configured_gates, BenchReport};
-use ia_obs::Stopwatch;
+use ia_bench::{baseline_builder, configured_gates};
 use ia_rank::sweep::{
     equivalent_reductions, sweep_miller, sweep_permittivity, PAPER_K_VALUES, PAPER_M_VALUES,
 };
@@ -15,22 +14,11 @@ use ia_tech::presets;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let node = presets::tsmc130();
     let arch = Architecture::baseline(&node);
-    let gates = configured_gates();
+    let gates = configured_gates()?;
     let builder = baseline_builder(&node, &arch, gates);
 
-    let mut report = BenchReport::new("equivalence");
-    let mut sw = Stopwatch::start();
     let k = sweep_permittivity(&builder, &PAPER_K_VALUES)?;
-    report.case(
-        [("sweep", "k".into()), ("gates", gates.into())],
-        sw.lap_ns(),
-    );
-    ia_obs::reset();
     let m = sweep_miller(&builder, &PAPER_M_VALUES)?;
-    report.case(
-        [("sweep", "m".into()), ("gates", gates.into())],
-        sw.lap_ns(),
-    );
 
     println!("K-vs-M equivalence, {gates} gates, 130 nm (paper §5.2)\n");
     let matches = equivalent_reductions(&k, &m);
@@ -60,7 +48,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             headline.a_reduction_pct, headline.b_reduction_pct
         );
     }
-    let path = report.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

@@ -5,34 +5,15 @@
 //! greedy fills the slow upper pair first and burns the budget there
 //! (rank 2); the DP routes one wire up and three down (rank 4).
 
-use ia_bench::BenchReport;
-use ia_obs::Stopwatch;
 use ia_rank::{dp, exact, exhaustive, greedy, toy};
 use ia_report::{Comparison, Table};
 
 fn main() {
     let inst = toy::figure2();
-    let mut report = BenchReport::new("figure2");
-    let solver_case = |report: &mut BenchReport, solver: &'static str, wall_ns: u64| {
-        report.case(
-            [("instance", "figure2".into()), ("solver", solver.into())],
-            wall_ns,
-        );
-        ia_obs::reset();
-    };
-
-    let sw = Stopwatch::start();
     let greedy_solution = greedy::rank_greedy(&inst);
-    solver_case(&mut report, "greedy", sw.elapsed_ns());
-    let sw = Stopwatch::start();
     let dp_solution = dp::rank(&inst);
-    solver_case(&mut report, "dp", sw.elapsed_ns());
-    let sw = Stopwatch::start();
     let exhaustive_rank = exhaustive::rank_exhaustive(&inst);
-    solver_case(&mut report, "exhaustive", sw.elapsed_ns());
-    let sw = Stopwatch::start();
     let exact_rank = exact::rank_exact(&inst).expect("figure 2 uses unit repeaters");
-    solver_case(&mut report, "exact", sw.elapsed_ns());
 
     println!("Figure 2 — suboptimality of greedy assignment\n");
     let mut t = Table::new(["solver", "rank", "repeaters used", "repeater area"]);
@@ -84,8 +65,4 @@ fn main() {
     assert_eq!(exhaustive_rank, 4);
     assert_eq!(exact_rank, 4);
     println!("\nAll four solvers reproduce the paper's Figure 2 exactly.");
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write bench artifact: {e}"),
-    }
 }

@@ -3,7 +3,7 @@
 //! results "for space reasons"; this binary fills in the other two).
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, BenchReport};
+use ia_bench::baseline_builder;
 use ia_obs::Stopwatch;
 use ia_report::Table;
 use ia_tech::presets;
@@ -14,7 +14,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (presets::tsmc130(), 1_000_000),
         (presets::tsmc90(), 4_000_000),
     ];
-    let mut report = BenchReport::new("nodes");
 
     println!("Baseline rank across technology nodes (paper §5.2 experiment set)\n");
     let mut t = Table::new([
@@ -30,14 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (node, gates) in runs {
         let arch = Architecture::baseline(&node);
         let problem = baseline_builder(&node, &arch, gates).build()?;
-        ia_obs::reset();
         let sw = Stopwatch::start();
         let r = problem.rank();
         let wall_ns = sw.elapsed_ns();
-        report.case(
-            [("node", node.name().into()), ("gates", gates.into())],
-            wall_ns,
-        );
         let g = problem.greedy_rank();
         t.row([
             node.name().to_owned(),
@@ -52,7 +46,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{t}");
     println!("(paper runtime bound: no rank computation exceeded 200 s on 2003 hardware)");
-    let path = report.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

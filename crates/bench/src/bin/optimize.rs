@@ -5,7 +5,7 @@
 //! budget (with fat semi-global variants) on the node's §5.2 design
 //! scale and prints the winner and the cost/quality Pareto front.
 
-use ia_bench::{configured_gates, BenchReport};
+use ia_bench::configured_gates;
 use ia_obs::Stopwatch;
 use ia_rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
 use ia_report::Table;
@@ -20,25 +20,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         local_pairs: 0..=1,
         semi_global_pitch_scales: vec![1.0, 1.5, 2.0],
     };
-    let gates = configured_gates().min(400_000); // keep the full grid quick
+    let gates = configured_gates()?.min(400_000); // keep the full grid quick
 
     println!("Stack optimization by rank (paper future work), {gates} gates\n");
-    let mut report = BenchReport::new("optimize");
     for node in presets::all() {
         let spec = WldSpec::new(gates)?;
-        ia_obs::reset();
         let sw = Stopwatch::start();
         let ranked = optimize_stack(&node, &space, |b| b.wld_spec(spec).bunch_size(10_000))?;
         let wall_ns = sw.elapsed_ns();
         let evaluated = ranked.len();
-        report.case(
-            [
-                ("node", node.name().into()),
-                ("gates", gates.into()),
-                ("candidates", (evaluated as u64).into()),
-            ],
-            wall_ns,
-        );
 
         println!(
             "— {} ({} candidates in {:.1?}) —",
@@ -57,7 +47,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("{t}");
     }
-    let path = report.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

@@ -4,8 +4,7 @@
 //! improvements alone").
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, configured_gates, BenchReport};
-use ia_obs::Stopwatch;
+use ia_bench::{baseline_builder, configured_gates};
 use ia_rank::sensitivity::{sensitivities, OperatingPoint};
 use ia_report::Table;
 use ia_tech::presets;
@@ -13,19 +12,13 @@ use ia_tech::presets;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let node = presets::tsmc130();
     let arch = Architecture::baseline(&node);
-    let gates = configured_gates();
+    let gates = configured_gates()?;
     let builder = baseline_builder(&node, &arch, gates);
 
     println!("Rank elasticity at the Table 2 baseline, {gates} gates @ 130 nm");
     println!("(relative rank gain per percent of knob improvement, ±10% finite differences)\n");
 
-    let mut artifact = BenchReport::new("sensitivity");
-    let sw = Stopwatch::start();
     let report = sensitivities(&builder, &OperatingPoint::paper_baseline(), 0.1)?;
-    artifact.case(
-        [("gates", gates.into()), ("step", 0.1f64.into())],
-        sw.elapsed_ns(),
-    );
     let mut t = Table::new(["knob", "at", "elasticity"]);
     for s in &report {
         t.row([
@@ -43,7 +36,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nNo single knob's elasticity dominates the sum of the others — the\n\
          co-optimization conclusion of the paper's §6 in one table."
     );
-    let path = artifact.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

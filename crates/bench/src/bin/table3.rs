@@ -1,14 +1,10 @@
 //! Regenerates Table 3: the technology parameters of the 180/130/90 nm
 //! nodes used in the rank studies.
 
-use ia_bench::BenchReport;
-use ia_obs::Stopwatch;
 use ia_report::Table;
 use ia_tech::{presets, WiringTier};
 
 fn main() {
-    let mut report = BenchReport::new("table3");
-    let sw = Stopwatch::start();
     let nodes = [presets::tsmc180(), presets::tsmc130(), presets::tsmc90()];
     let mut t = Table::new(["Parameter", "180nm", "130nm", "90nm"]);
     let um = |v: f64| format!("{v:.3}µm");
@@ -102,9 +98,4 @@ fn main() {
         format!("{}", nodes[2].gate_pitch()),
     ]);
     println!("{d}");
-    report.case([("nodes", 3u64.into())], sw.elapsed_ns());
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write bench artifact: {e}"),
-    }
 }

@@ -6,7 +6,7 @@
 //! Scale: set `IA_BENCH_GATES` (default 1 000 000 — the paper's scale).
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, configured_gates, sweep_table, BenchReport};
+use ia_bench::{baseline_builder, configured_gates, sweep_table};
 use ia_obs::Stopwatch;
 use ia_rank::sweep::{
     sweep_clock, sweep_miller, sweep_permittivity, sweep_repeater_fraction, PAPER_C_HERTZ,
@@ -21,49 +21,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let node = presets::tsmc130();
     let arch = Architecture::baseline(&node);
-    let gates = configured_gates();
+    let gates = configured_gates()?;
     let builder = baseline_builder(&node, &arch, gates);
 
     println!("Table 4 — variation of rank, {gates} gates, 130 nm, p = 0.6, bunch 10 000");
     println!("(paper baseline: K = 3.9, M = 2, R = 0.4, f_c = 500 MHz)\n");
 
     // One stopwatch for the whole run; `lap` yields per-axis wall time
-    // (the old per-block `Instant::now()` pattern silently excluded the
-    // table-rendering time between blocks from the reported total).
-    let mut report = BenchReport::new("table4");
+    // including the table rendering between blocks.
     let mut sw = Stopwatch::start();
-    let axis_case = |report: &mut BenchReport, sw: &mut Stopwatch, axis: &'static str| {
-        let wall_ns = sw.lap_ns();
-        report.case([("axis", axis.into()), ("gates", gates.into())], wall_ns);
-        ia_obs::reset();
-        std::time::Duration::from_nanos(wall_ns)
-    };
+    let mut lap = || std::time::Duration::from_nanos(sw.lap_ns());
 
     if want("k") {
         let pts = sweep_permittivity(&builder, &PAPER_K_VALUES)?;
         println!("{}", sweep_table("K", &pts, |x| format!("{x:.2}")));
-        let lap = axis_case(&mut report, &mut sw, "k");
-        println!("(K sweep in {lap:.1?})\n");
+        println!("(K sweep in {:.1?})\n", lap());
     }
     if want("m") {
         let pts = sweep_miller(&builder, &PAPER_M_VALUES)?;
         println!("{}", sweep_table("M", &pts, |x| format!("{x:.2}")));
-        let lap = axis_case(&mut report, &mut sw, "m");
-        println!("(M sweep in {lap:.1?})\n");
+        println!("(M sweep in {:.1?})\n", lap());
     }
     if want("c") {
         let pts = sweep_clock(&builder, &PAPER_C_HERTZ)?;
         println!("{}", sweep_table("C", &pts, |x| format!("{x:.2e}")));
-        let lap = axis_case(&mut report, &mut sw, "c");
-        println!("(C sweep in {lap:.1?})\n");
+        println!("(C sweep in {:.1?})\n", lap());
     }
     if want("r") {
         let pts = sweep_repeater_fraction(&builder, &PAPER_R_VALUES)?;
         println!("{}", sweep_table("R", &pts, |x| format!("{x:.2}")));
-        let lap = axis_case(&mut report, &mut sw, "r");
-        println!("(R sweep in {lap:.1?})\n");
+        println!("(R sweep in {:.1?})\n", lap());
     }
-    let path = report.write()?;
-    println!("wrote {}", path.display());
     Ok(())
 }

@@ -1,5 +1,5 @@
-//! Shared harness code for the table/figure regeneration binaries and
-//! the Criterion benches.
+//! Shared code for the binaries that regenerate the paper's tables and
+//! figures.
 //!
 //! Every table and figure of the paper's evaluation has a binary here
 //! (see `DESIGN.md` §3 for the index):
@@ -10,18 +10,14 @@
 //! * `equivalence` — the §5.2 "38 % K ≡ ~42 % M" analysis;
 //! * `nodes` — the 180/130/90 nm baselines mentioned in §5.2;
 //! * `ablation` — bunch-size / binning sensitivity (§5.1, footnote 7);
-//! * `obs_overhead` — cost of the disabled instrumentation layer.
+//! * `optimize` — stack optimization by rank (the paper's future work);
+//! * `sensitivity` — rank elasticity per Table 4 knob (§6).
 //!
-//! Besides their human-readable tables, all binaries write a stable
-//! `BENCH_<name>.json` artifact (see [`report`]) that CI validates with
-//! `ia-lint check-bench`.
+//! The binaries print tables, not measurements; the repository
+//! benchmark (`perfbench/README.md`) times the same workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
-
-pub use report::BenchReport;
 
 use ia_arch::Architecture;
 use ia_delay::TargetDelayModel;
@@ -37,15 +33,32 @@ pub const PAPER_GATES: u64 = 1_000_000;
 /// The paper's bunch size (§5.2).
 pub const PAPER_BUNCH_SIZE: u64 = 10_000;
 
-/// Reduced default scale for quick runs; override with the
-/// `IA_BENCH_GATES` environment variable (`IA_BENCH_GATES=1000000` for
-/// the full paper scale).
-#[must_use]
-pub fn configured_gates() -> u64 {
-    std::env::var("IA_BENCH_GATES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PAPER_GATES)
+const GATES_ENV: &str = "IA_BENCH_GATES";
+
+/// The gate count for the scaled binaries: the `IA_BENCH_GATES`
+/// environment variable when set (`IA_BENCH_GATES=100000` for a quick
+/// run), else the paper's scale ([`PAPER_GATES`]).
+///
+/// # Errors
+///
+/// Returns a message naming the variable and its value when the value
+/// is not a whole number or is below the WLD model's minimum.
+pub fn configured_gates() -> Result<u64, String> {
+    let value = std::env::var_os(GATES_ENV);
+    parse_gates(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// Parses an `IA_BENCH_GATES` value; `None` (unset) is the paper's
+/// scale.
+fn parse_gates(value: Option<&str>) -> Result<u64, String> {
+    let Some(text) = value else {
+        return Ok(PAPER_GATES);
+    };
+    let gates = text
+        .parse()
+        .map_err(|_| format!("{GATES_ENV}={text}: not a whole number of gates"))?;
+    WldSpec::new(gates).map_err(|e| format!("{GATES_ENV}={text}: {e}"))?;
+    Ok(gates)
 }
 
 /// A floored variant of the paper's linear target rule, granting every
@@ -132,10 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn configured_gates_defaults_to_paper_scale() {
-        // Do not set the env var in tests; just check the default path.
-        if std::env::var("IA_BENCH_GATES").is_err() {
-            assert_eq!(configured_gates(), PAPER_GATES);
+    fn parse_gates_defaults_to_paper_scale_and_names_bad_values() {
+        assert_eq!(parse_gates(None), Ok(PAPER_GATES));
+        assert_eq!(parse_gates(Some("100000")), Ok(100_000));
+        assert_eq!(parse_gates(Some("16")), Ok(16));
+        for bad in ["100k", "1e5", "", "-5", "15"] {
+            let err = parse_gates(Some(bad)).unwrap_err();
+            assert!(err.starts_with(&format!("IA_BENCH_GATES={bad}: ")), "{err}");
         }
     }
 }

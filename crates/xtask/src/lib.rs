@@ -60,22 +60,16 @@
 //!
 //! Beyond linting, the binary also validates the observability
 //! artifacts the workspace emits — `check-metrics FILE` for the CLI's
-//! `--metrics json` snapshot, `check-bench FILE` for the bench
-//! harness's `BENCH_*.json` reports, `check-trace FILE` for Chrome
+//! `--metrics json` snapshot, `check-trace FILE` for Chrome
 //! trace-event exports, `check-prof FILE` for hierarchical profiles
-//! (see [`schema`]) — and gates performance with `bench-diff`,
-//! comparing fresh bench artifacts against a committed baseline
-//! directory (see [`bench_diff`]), while `perf-history` keeps the
-//! longitudinal wall-time ledger (see [`perf_history`]).
+//! (see [`schema`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bench_diff;
 mod diag;
 pub mod model;
-pub mod perf_history;
 pub mod registry;
 mod rules;
 pub mod sarif;

@@ -4,7 +4,6 @@
 //! cargo run -p xtask -- lint [--format text|json|sarif] [--root PATH]
 //!                       [--allow-stale-waivers]
 //! cargo run -p xtask -- check-metrics FILE
-//! cargo run -p xtask -- check-bench FILE
 //! cargo run -p xtask -- check-trace FILE
 //! cargo run -p xtask -- check-spec FILE
 //! cargo run -p xtask -- check-sarif FILE
@@ -12,29 +11,22 @@
 //! cargo run -p xtask -- check-prom FILE
 //! cargo run -p xtask -- check-prof FILE
 //! cargo run -p xtask -- check-claims FILE
-//! cargo run -p xtask -- bench-diff --baseline DIR --current DIR
-//!                       [--tol-wall F] [--tol-counter F] [--json FILE]
-//! cargo run -p xtask -- perf-history [--bench-dir DIR] [--history FILE]
-//!                       [--commit HASH] [--tol-wall F] [--check]
+//! cargo run -p xtask -- check-corpus FILE
 //! ```
 //!
-//! Exits 0 on a clean workspace / valid artifact / in-tolerance bench
-//! run, 1 when any rule fires, an artifact is malformed or a bench
-//! regression is found, 2 on usage or I/O errors.
+//! Exits 0 on a clean workspace / valid artifact, 1 when any rule
+//! fires or an artifact is malformed, 2 on usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::bench_diff::{diff_dirs, DiffOptions};
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ia-lint lint [--format text|json|sarif] [--root PATH]\n\
          \x20                [--allow-stale-waivers]\n\
          \x20      ia-lint check-metrics FILE\n\
-         \x20      ia-lint check-bench FILE\n\
          \x20      ia-lint check-trace FILE\n\
          \x20      ia-lint check-spec FILE\n\
          \x20      ia-lint check-sarif FILE\n\
@@ -43,10 +35,6 @@ fn usage() -> ExitCode {
          \x20      ia-lint check-prof FILE\n\
          \x20      ia-lint check-claims FILE\n\
          \x20      ia-lint check-corpus FILE\n\
-         \x20      ia-lint bench-diff --baseline DIR --current DIR\n\
-         \x20                [--tol-wall F] [--tol-counter F] [--json FILE]\n\
-         \x20      ia-lint perf-history [--bench-dir DIR] [--history FILE]\n\
-         \x20                [--commit HASH] [--tol-wall F] [--check]\n\
          \n\
          lint walks the workspace source and enforces the domain rules\n\
          {}.\n\
@@ -54,7 +42,6 @@ fn usage() -> ExitCode {
          --allow-stale-waivers is given. See docs/linting.md.\n\
          \n\
          check-metrics validates a CLI `--metrics json` snapshot;\n\
-         check-bench validates a bench `BENCH_*.json` report;\n\
          check-trace validates a Chrome trace-event export;\n\
          check-spec validates an ia-dse experiment spec (TOML/JSON);\n\
          check-sarif validates a SARIF 2.1.0 log like `lint --format\n\
@@ -72,159 +59,10 @@ fn usage() -> ExitCode {
          check-corpus validates an ia-corpus-v1 rank-comparison report\n\
          (the `iarank corpus report` text or its `--csv true` form,\n\
          auto-detected).\n\
-         bench-diff compares the `BENCH_*.json` artifacts in --current\n\
-         against --baseline and exits 1 on any wall-time regression\n\
-         beyond --tol-wall (relative, default 3.0) or counter drift\n\
-         beyond --tol-counter (relative, default 0.0).\n\
-         perf-history appends the `BENCH_*.json` cases in --bench-dir\n\
-         (default bench/baseline) to the --history ledger (default\n\
-         bench/history.jsonl) under --commit (default `git rev-parse\n\
-         HEAD`) and prints the per-case wall-time trajectory; with\n\
-         --check nothing is appended and the exit code reports whether\n\
-         the freshest entries regressed against the committed baseline.\n\
          See docs/observability.md.",
         xtask::registry::usage_list()
     );
     ExitCode::from(2)
-}
-
-/// Parses and runs `bench-diff` (arguments after the subcommand name).
-fn run_bench_diff(args: &[String]) -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut opts = DiffOptions::default();
-    fn parse_tol(value: Option<&String>) -> Option<f64> {
-        value
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v >= 0.0 && v.is_finite())
-    }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--current" => match it.next() {
-                Some(p) => current = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--tol-wall" => match parse_tol(it.next()) {
-                Some(v) => opts.tol_wall = v,
-                None => return usage(),
-            },
-            "--tol-counter" => match parse_tol(it.next()) {
-                Some(v) => opts.tol_counter = v,
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (Some(baseline), Some(current)) = (baseline, current) else {
-        return usage();
-    };
-    for dir in [&baseline, &current] {
-        if !dir.is_dir() {
-            eprintln!("ia-lint: bench-diff: {} is not a directory", dir.display());
-            return ExitCode::from(2);
-        }
-    }
-    match diff_dirs(&baseline, &current, &opts) {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            if let Some(path) = json_out {
-                if let Err(e) = std::fs::write(&path, report.render_json()) {
-                    eprintln!("ia-lint: bench-diff: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("ia-lint: bench-diff: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Parses and runs `perf-history` (arguments after the subcommand
-/// name).
-fn run_perf_history(args: &[String]) -> ExitCode {
-    let root = default_root();
-    let mut bench_dir = root.join("bench/baseline");
-    let mut history = root.join("bench/history.jsonl");
-    let mut commit: Option<String> = None;
-    let mut check = false;
-    let mut tol_wall = 3.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench-dir" => match it.next() {
-                Some(p) => bench_dir = PathBuf::from(p),
-                None => return usage(),
-            },
-            "--history" => match it.next() {
-                Some(p) => history = PathBuf::from(p),
-                None => return usage(),
-            },
-            "--commit" => match it.next() {
-                Some(c) if !c.is_empty() => commit = Some(c.clone()),
-                _ => return usage(),
-            },
-            "--tol-wall" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 && v.is_finite() => tol_wall = v,
-                _ => return usage(),
-            },
-            "--check" => check = true,
-            _ => return usage(),
-        }
-    }
-    let commit = commit.unwrap_or_else(|| resolve_head(&root));
-    if !bench_dir.is_dir() {
-        eprintln!(
-            "ia-lint: perf-history: {} is not a directory",
-            bench_dir.display()
-        );
-        return ExitCode::from(2);
-    }
-    match xtask::perf_history::run(&history, &bench_dir, &commit, check, tol_wall) {
-        Ok(outcome) => {
-            print!("{}", outcome.report);
-            if check && outcome.regressions > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("ia-lint: perf-history: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// The current commit hash via `git rev-parse HEAD`, falling back to
-/// `worktree` when the repository is not available (CI tarballs).
-fn resolve_head(root: &std::path::Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "worktree".to_owned())
 }
 
 /// Runs a schema checker against a file, mapping I/O errors to exit 2
@@ -265,14 +103,10 @@ fn main() -> ExitCode {
     let mut root = default_root();
     let mut command = None;
 
-    // The check-* subcommands take exactly one positional file;
-    // bench-diff owns its own flag parsing.
+    // The check-* subcommands take exactly one positional file.
     match args.first().map(String::as_str) {
         Some("check-metrics") if args.len() == 2 => {
             return run_check("check-metrics", &args[1], xtask::schema::check_metrics);
-        }
-        Some("check-bench") if args.len() == 2 => {
-            return run_check("check-bench", &args[1], xtask::schema::check_bench);
         }
         Some("check-trace") if args.len() == 2 => {
             return run_check("check-trace", &args[1], xtask::schema::check_trace);
@@ -299,11 +133,9 @@ fn main() -> ExitCode {
             return run_check("check-corpus", &args[1], xtask::schema::check_corpus);
         }
         Some(
-            "check-metrics" | "check-bench" | "check-trace" | "check-spec" | "check-sarif"
-            | "check-logs" | "check-prom" | "check-prof" | "check-claims" | "check-corpus",
+            "check-metrics" | "check-trace" | "check-spec" | "check-sarif" | "check-logs"
+            | "check-prom" | "check-prof" | "check-claims" | "check-corpus",
         ) => return usage(),
-        Some("bench-diff") => return run_bench_diff(&args[1..]),
-        Some("perf-history") => return run_perf_history(&args[1..]),
         _ => {}
     }
 

@@ -1,15 +1,12 @@
 //! Schema validation for the observability artifacts.
 //!
-//! Six documents are part of the workspace's stable machine-readable
+//! Five documents are part of the workspace's stable machine-readable
 //! surface (`docs/observability.md`):
 //!
 //! * the CLI's `--metrics json` snapshot
 //!   (`{"counters": {...}, "spans": [...], "histograms": [...]}`),
-//! * the bench harness's `BENCH_<name>.json` reports
-//!   (`{"bench": "...", "cases": [{"params", "wall_ns", "counters"}]}`,
-//!   optionally naming a sibling trace file in `"trace"`),
-//! * the Chrome trace-event exports written by `--trace` /
-//!   `TRACE_<name>.json` (a JSON array of `B`/`E`/`C`/`M` events),
+//! * the Chrome trace-event exports written by `--trace` (a JSON
+//!   array of `B`/`E`/`C`/`M` events),
 //! * the structured log files written by `--log-file` and the serve
 //!   flight pump (JSON lines, one [`ia_obs::log::LogRecord`] per
 //!   line),
@@ -18,10 +15,10 @@
 //! * the hierarchical profiles written by `--prof-out` and served by
 //!   `GET /debug/prof` — `ia-prof-v1` JSON or folded-stack text.
 //!
-//! CI runs `ia-lint check-metrics` / `check-bench` / `check-trace` /
-//! `check-logs` / `check-prom` / `check-prof` on freshly emitted files
-//! so schema drift fails the build instead of silently breaking
-//! downstream consumers. The JSON checkers parse with the same
+//! CI runs `ia-lint check-metrics` / `check-trace` / `check-logs` /
+//! `check-prom` / `check-prof` on freshly emitted files so schema
+//! drift fails the build instead of silently breaking downstream
+//! consumers. The JSON checkers parse with the same
 //! [`ia_obs::json`] tree the exporters render from, so integers are
 //! checked exactly.
 
@@ -126,67 +123,8 @@ pub fn check_metrics(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Validates a bench harness `BENCH_<name>.json` report.
-///
-/// Returns a one-line summary on success.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation (or parse
-/// error) found.
-pub fn check_bench(text: &str) -> Result<String, String> {
-    let doc = JsonValue::parse(text.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
-    let bench = expect_str(&doc, "bench", "report")?;
-    if bench.is_empty() {
-        return Err("report: `bench` must be non-empty".to_owned());
-    }
-    let cases = doc
-        .get("cases")
-        .ok_or("report: missing `cases` array")?
-        .as_array()
-        .ok_or("report: `cases` must be an array")?;
-    if cases.is_empty() {
-        return Err("report: `cases` must be non-empty".to_owned());
-    }
-    for (i, case) in cases.iter().enumerate() {
-        let ctx = format!("cases[{i}]");
-        let params = case
-            .get("params")
-            .ok_or_else(|| format!("{ctx}: missing `params` object"))?
-            .as_object()
-            .ok_or_else(|| format!("{ctx}: `params` must be an object"))?;
-        for (name, value) in params {
-            if !matches!(
-                value,
-                JsonValue::Str(_) | JsonValue::Bool(_) | JsonValue::UInt(_) | JsonValue::Num(_)
-            ) {
-                return Err(format!(
-                    "{ctx}: `params.{name}` must be a string, boolean or number, got {}",
-                    value.render()
-                ));
-            }
-        }
-        expect_u64(case, "wall_ns", &ctx)?;
-        expect_counter_map(case, "counters", &ctx)?;
-    }
-    let mut traced = String::new();
-    if let Some(trace) = doc.get("trace") {
-        let file = trace
-            .as_str()
-            .ok_or("report: `trace` must be a string naming the sibling trace file")?;
-        if file.is_empty() {
-            return Err("report: `trace` must be non-empty".to_owned());
-        }
-        traced = format!(", trace `{file}`");
-    }
-    Ok(format!(
-        "bench report `{bench}` OK: {} cases{traced}",
-        cases.len()
-    ))
-}
-
-/// Validates a Chrome trace-event export (the `--trace FILE.json` /
-/// `TRACE_<name>.json` artifacts).
+/// Validates a Chrome trace-event export (the `--trace FILE.json`
+/// artifacts).
 ///
 /// Checks the documented shape — a non-empty JSON array of events with
 /// `name`/`ph`/`pid`/`tid` fields, `ph` one of `B`/`E`/`C`/`M` — plus
@@ -1051,10 +989,6 @@ mod tests {
         "histograms":[{"name":"dp.front_len","count":2,"sum":3,"min":1,"max":2,
                        "buckets":[{"le":1,"count":1},{"le":3,"count":1}]}]}"#;
 
-    const GOOD_BENCH: &str = r#"{"bench":"figure2","cases":[
-        {"params":{"solver":"dp","gates":30000,"full":false},
-         "wall_ns":123,"counters":{"dp.states":4}}]}"#;
-
     #[test]
     fn good_metrics_passes() {
         let summary = check_metrics(GOOD_METRICS).unwrap();
@@ -1127,13 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn good_bench_passes() {
-        let summary = check_bench(GOOD_BENCH).unwrap();
-        assert!(summary.contains("figure2"));
-        assert!(summary.contains("1 cases"));
-    }
-
-    #[test]
     fn metrics_rejects_bad_shapes() {
         assert!(check_metrics("not json")
             .unwrap_err()
@@ -1161,40 +1088,6 @@ mod tests {
         assert!(check_metrics(r#"{"spans":[],"histograms":[]}"#)
             .unwrap_err()
             .contains("missing `counters`"));
-    }
-
-    #[test]
-    fn bench_rejects_bad_shapes() {
-        assert!(check_bench(r#"{"bench":"x","cases":[]}"#)
-            .unwrap_err()
-            .contains("non-empty"));
-        assert!(check_bench(r#"{"cases":[{}]}"#)
-            .unwrap_err()
-            .contains("missing `bench`"));
-        assert!(check_bench(
-            r#"{"bench":"x","cases":[{"params":{"a":[1]},"wall_ns":1,"counters":{}}]}"#
-        )
-        .unwrap_err()
-        .contains("params.a"));
-        assert!(
-            check_bench(r#"{"bench":"x","cases":[{"params":{},"counters":{}}]}"#)
-                .unwrap_err()
-                .contains("wall_ns")
-        );
-    }
-
-    #[test]
-    fn bench_accepts_and_validates_the_optional_trace_field() {
-        let traced = r#"{"bench":"x","cases":[
-            {"params":{},"wall_ns":1,"counters":{}}],"trace":"TRACE_x.json"}"#;
-        let summary = check_bench(traced).unwrap();
-        assert!(summary.contains("trace `TRACE_x.json`"));
-        let bad = r#"{"bench":"x","cases":[
-            {"params":{},"wall_ns":1,"counters":{}}],"trace":""}"#;
-        assert!(check_bench(bad).unwrap_err().contains("non-empty"));
-        let not_str = r#"{"bench":"x","cases":[
-            {"params":{},"wall_ns":1,"counters":{}}],"trace":7}"#;
-        assert!(check_bench(not_str).unwrap_err().contains("string"));
     }
 
     const GOOD_TRACE: &str = r#"[
@@ -1580,9 +1473,9 @@ h_count 5\n";
         // variant must carry it bit-for-bit.
         let big = u64::MAX - 1;
         let doc = format!(
-            r#"{{"bench":"x","cases":[{{"params":{{}},"wall_ns":{big},"counters":{{"c":{big}}}}}]}}"#
+            r#"{{"counters":{{"c":{big}}},"spans":[{{"path":"p","calls":1,"total_ns":{big}}}],"histograms":[]}}"#
         );
-        check_bench(&doc).unwrap();
+        check_metrics(&doc).unwrap();
     }
 
     #[test]

@@ -381,29 +381,15 @@ fn cli_schema_checkers_validate_artifacts() {
     assert!(ok.status.success(), "valid snapshot must exit 0");
     assert!(String::from_utf8_lossy(&ok.stdout).contains("metrics snapshot OK"));
 
-    let bench = dir.join("BENCH_demo.json");
-    std::fs::write(
-        &bench,
-        r#"{"bench":"demo","cases":[{"params":{"gates":100},"wall_ns":5,"counters":{}}]}"#,
-    )
-    .expect("writable");
-    let ok = Command::new(bin)
-        .arg("check-bench")
-        .arg(&bench)
-        .output()
-        .expect("runs");
-    assert!(ok.status.success(), "valid report must exit 0");
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("bench report `demo` OK"));
-
     let bad = dir.join("bad.json");
-    std::fs::write(&bad, r#"{"bench":"demo","cases":[]}"#).expect("writable");
+    std::fs::write(&bad, r#"{"counters":{},"spans":[],"histograms":[]}"#).expect("writable");
     let err = Command::new(bin)
-        .arg("check-bench")
+        .arg("check-metrics")
         .arg(&bad)
         .output()
         .expect("runs");
     assert_eq!(err.status.code(), Some(1), "schema violation must exit 1");
-    assert!(String::from_utf8_lossy(&err.stderr).contains("non-empty"));
+    assert!(String::from_utf8_lossy(&err.stderr).contains("collector enabled"));
 
     let missing = Command::new(bin)
         .args(["check-metrics", "/nonexistent/metrics.json"])
@@ -515,130 +501,6 @@ fn cli_check_prof_validates_both_profile_forms() {
         Some(2),
         "unreadable file must exit 2"
     );
-}
-
-#[test]
-fn cli_perf_history_appends_and_gates() {
-    let bin = env!("CARGO_BIN_EXE_ia-lint");
-    let dir = std::env::temp_dir().join(format!("ia_lint_history_test_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let history = dir.join("history.jsonl");
-    let bench = dir.join("BENCH_demo.json");
-    let with_wall = |wall: u64| {
-        format!(
-            r#"{{"bench":"demo","cases":[{{"params":{{"gates":100}},"wall_ns":{wall},"counters":{{}}}}]}}"#
-        )
-    };
-
-    std::fs::write(&bench, with_wall(1000)).expect("writable");
-    let seed = Command::new(bin)
-        .args(["perf-history", "--commit", "seed", "--bench-dir"])
-        .arg(&dir)
-        .arg("--history")
-        .arg(&history)
-        .output()
-        .expect("runs");
-    assert!(seed.status.success(), "seeding run must exit 0");
-    let stdout = String::from_utf8_lossy(&seed.stdout);
-    assert!(stdout.contains("baseline"), "{stdout}");
-    assert!(history.is_file(), "ledger written");
-
-    // A regressed fresh run fails --check without touching the ledger.
-    std::fs::write(&bench, with_wall(9000)).expect("writable");
-    let ledger_before = std::fs::read_to_string(&history).unwrap();
-    let gate = Command::new(bin)
-        .args([
-            "perf-history",
-            "--check",
-            "--commit",
-            "current",
-            "--bench-dir",
-        ])
-        .arg(&dir)
-        .arg("--history")
-        .arg(&history)
-        .output()
-        .expect("runs");
-    assert_eq!(gate.status.code(), Some(1), "regression must exit 1");
-    let stdout = String::from_utf8_lossy(&gate.stdout);
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("(fresh)"), "{stdout}");
-    assert_eq!(std::fs::read_to_string(&history).unwrap(), ledger_before);
-
-    // Usage and I/O errors exit 2.
-    let bad_flag = Command::new(bin)
-        .args(["perf-history", "--bogus"])
-        .output()
-        .expect("runs");
-    assert_eq!(bad_flag.status.code(), Some(2), "unknown flag must exit 2");
-    let missing_dir = Command::new(bin)
-        .args(["perf-history", "--bench-dir", "/nonexistent/bench-dir"])
-        .output()
-        .expect("runs");
-    assert_eq!(
-        missing_dir.status.code(),
-        Some(2),
-        "missing dir must exit 2"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cli_bench_diff_gates_on_the_fixture_regression() {
-    let bin = env!("CARGO_BIN_EXE_ia-lint");
-    let base = fixture("bench_diff/baseline");
-    let slow = fixture("bench_diff/slow");
-
-    // Self-comparison is clean at the default tolerances.
-    let clean = Command::new(bin)
-        .args(["bench-diff", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&base)
-        .output()
-        .expect("runs");
-    assert!(clean.status.success(), "self-compare must exit 0");
-    assert!(String::from_utf8_lossy(&clean.stdout).contains("0 regression(s)"));
-
-    // The default loose wall tolerance absorbs the +20 % fixture.
-    let loose = Command::new(bin)
-        .args(["bench-diff", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&slow)
-        .output()
-        .expect("runs");
-    assert!(loose.status.success(), "+20% within tol 3.0 must exit 0");
-
-    // A tight tolerance catches it and the JSON report records it.
-    let json_path = std::env::temp_dir().join("ia_lint_bench_diff.json");
-    let tight = Command::new(bin)
-        .args(["bench-diff", "--tol-wall", "0.1", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&slow)
-        .arg("--json")
-        .arg(&json_path)
-        .output()
-        .expect("runs");
-    assert_eq!(tight.status.code(), Some(1), "+20% at tol 0.1 must exit 1");
-    let stdout = String::from_utf8_lossy(&tight.stdout);
-    assert!(stdout.contains("REGRESSION demo"), "{stdout}");
-    assert!(stdout.contains("wall_ns 1000000 -> 1200000"), "{stdout}");
-    let json = std::fs::read_to_string(&json_path).expect("json report written");
-    assert!(json.contains("\"metric\":\"wall_ns\""), "{json}");
-    std::fs::remove_file(&json_path).ok();
-
-    // Usage and I/O errors exit 2.
-    let no_dirs = Command::new(bin).arg("bench-diff").output().expect("runs");
-    assert_eq!(no_dirs.status.code(), Some(2), "missing flags must exit 2");
-    let missing = Command::new(bin)
-        .args(["bench-diff", "--baseline", "/nonexistent/bench-baseline"])
-        .args(["--current", "/nonexistent/bench-current"])
-        .output()
-        .expect("runs");
-    assert_eq!(missing.status.code(), Some(2), "missing dirs must exit 2");
 }
 
 #[test]
