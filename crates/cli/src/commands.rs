@@ -793,14 +793,9 @@ pub fn cmd_corpus(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// `iarank fleet worker`: one distributed-dse worker process, in
-/// either of two modes (see docs/dse.md):
-///
-/// * `--run DIR` (or `--spec FILE --runs DIR`): shared-store mode —
-///   partition a run's points with peer processes through the
-///   `claims.jsonl` work-stealing journal.
-/// * `--coordinator ADDR`: remote mode — pull point leases from a
-///   fleet-mode `iarank serve` over HTTP.
+/// `iarank fleet worker --coordinator ADDR`: one distributed-dse
+/// worker process that pulls point leases from a fleet-mode `iarank
+/// serve` over HTTP (see docs/dse.md).
 pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, CliError> {
     let Some(action) = args.subcommand().map(str::to_owned) else {
         return Err(CliError::Domain(
@@ -813,80 +808,26 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, CliError> {
         )));
     }
     let coordinator = args.get_str("coordinator");
-    let run = args.get_str("run");
-    let spec_path = args.get_str("spec");
-    if coordinator.is_some() && (run.is_some() || spec_path.is_some()) {
+    let defaults = ia_serve::WorkerOptions::default();
+    let opts = ia_serve::WorkerOptions {
+        worker_id: args.get_str("worker-id").unwrap_or(defaults.worker_id),
+        poll_ms: args.get("poll-ms", defaults.poll_ms)?,
+        max_idle_ms: args.get("max-idle-ms", defaults.max_idle_ms)?,
+        stall_ms: args.get("stall-ms", defaults.stall_ms)?,
+        timeout: defaults.timeout,
+    };
+    args.reject_unknown()?;
+    let Some(coordinator) = coordinator else {
         return Err(CliError::Domain(
-            "`--coordinator` and `--run`/`--spec` are mutually exclusive".to_owned(),
-        ));
-    }
-    let defaults = ia_dse::FleetOptions::default();
-    let worker_id = args
-        .get_str("worker-id")
-        .unwrap_or_else(|| defaults.worker_id.clone());
-    let poll_ms = args.get("poll-ms", defaults.poll_ms)?;
-    let max_idle_ms = args.get("max-idle-ms", defaults.max_idle_ms)?;
-    let stall_ms = args.get("stall-ms", defaults.stall_ms)?;
-    if let Some(coordinator) = coordinator {
-        args.reject_unknown()?;
-        let opts = ia_serve::WorkerOptions {
-            worker_id: worker_id.clone(),
-            poll_ms,
-            max_idle_ms,
-            stall_ms,
-            ..ia_serve::WorkerOptions::default()
-        };
-        let outcome = ia_serve::fleet::run_worker(&coordinator, &opts).map_err(domain)?;
-        return Ok(format!(
-            "coordinator: {coordinator}\nworker: {worker_id}\n\
-             points: {} solved, {} failed, {} idle polls\n",
-            outcome.solved, outcome.failed, outcome.idle_polls
-        ));
-    }
-    let lease_ms = args.get("lease-ms", defaults.lease_ms)?;
-    let max_points = args.get_str("max-points");
-    let run_dir = if let Some(dir) = run {
-        args.reject_unknown()?;
-        std::path::PathBuf::from(dir)
-    } else if let Some(spec_path) = spec_path {
-        // `--spec` initializes (or opens) the run directory first, so
-        // the first worker on a fresh machine needs no separate
-        // `dse run` step before the fleet can start.
-        let runs = args.get_str("runs").unwrap_or_else(|| "runs".to_owned());
-        args.reject_unknown()?;
-        let text = std::fs::read_to_string(&spec_path)
-            .map_err(|e| CliError::Domain(format!("cannot read spec {spec_path}: {e}")))?;
-        let spec = ia_dse::ExperimentSpec::parse_str(&text).map_err(domain)?;
-        let (store, _) =
-            ia_dse::RunStore::open_or_create(std::path::Path::new(&runs), &spec).map_err(domain)?;
-        store.dir().to_path_buf()
-    } else {
-        return Err(CliError::Domain(
-            "`fleet worker` needs `--coordinator ADDR`, `--run DIR`, or `--spec FILE`".to_owned(),
+            "`fleet worker` needs `--coordinator ADDR`".to_owned(),
         ));
     };
-    let opts = dse_options(None, max_points)?;
-    let fleet = ia_dse::FleetOptions {
-        worker_id: worker_id.clone(),
-        lease_ms,
-        poll_ms,
-        max_idle_ms,
-        stall_ms,
-    };
-    let outcome = ia_dse::fleet::work(&run_dir, &opts, &fleet).map_err(domain)?;
-    let mut out = format!("run: {}\n", outcome.run_dir);
-    out.push_str(&format!("run id: {}\n", outcome.run_id));
-    out.push_str(&format!("worker: {worker_id}\n"));
-    out.push_str(&format!(
-        "points: {} solved, {} cached, {} lost, {} reclaimed ({} rounds)\n",
-        outcome.solved, outcome.cached, outcome.lost, outcome.reclaimed, outcome.rounds
-    ));
-    out.push_str(if outcome.complete {
-        "status: complete\n"
-    } else {
-        "status: incomplete\n"
-    });
-    Ok(out)
+    let outcome = ia_serve::fleet::run_worker(&coordinator, &opts).map_err(domain)?;
+    Ok(format!(
+        "coordinator: {coordinator}\nworker: {}\n\
+         points: {} solved, {} failed, {} idle polls\n",
+        opts.worker_id, outcome.solved, outcome.failed, outcome.idle_polls
+    ))
 }
 
 /// The `--help` text.
@@ -911,7 +852,7 @@ COMMANDS:
              corpus run --spec FILE | corpus resume --run DIR |
              corpus report --run DIR [--csv]
   fleet      distributed dse worker (see docs/dse.md):
-             fleet worker --run DIR | --spec FILE | --coordinator ADDR
+             fleet worker --coordinator ADDR
   help       show this text
 
 SHARED FLAGS (rank, sweep, optimize):
@@ -957,16 +898,13 @@ CORPUS FLAGS:
                            CSV instead of the text report
 
 FLEET WORKER FLAGS:
-  --run DIR                shared-store mode: join this run directory
-  --spec FILE              shared-store mode: init/open the run from a
-                           spec under --runs first
-  --coordinator ADDR       remote mode: pull point leases over HTTP
-  --worker-id ID           lease/journal identity  [worker-<pid>]
-  --lease-ms N             claim lease duration (shared-store) [30000]
+  --coordinator ADDR       pull point leases over HTTP from a
+                           `serve --fleet` coordinator
+  --worker-id ID           lease identity               [worker-<pid>]
   --poll-ms N              idle poll interval           [25]
   --max-idle-ms N          exit after this long with no work (0 = wait
-                           forever)                     [0]
-  --stall-ms N             fault injection: hold each claim this long
+                           until the coordinator drains) [0]
+  --stall-ms N             fault injection: hold each lease this long
                            before solving               [0]
 
 SERVE FLAGS:
@@ -1015,9 +953,9 @@ EXAMPLES:
   iarank dse report --run runs/1a2b3c4d5e6f7a8b --csv
   iarank corpus run --spec corpus.toml --runs runs
   iarank corpus report --run runs/9f8e7d6c5b4a3f2e --csv
-  iarank fleet worker --run runs/1a2b3c4d5e6f7a8b --worker-id w1
-  iarank serve --addr 127.0.0.1:0 --fleet --runs runs
-  iarank fleet worker --coordinator 127.0.0.1:8080
+  iarank serve --addr 127.0.0.1:8080 --fleet --runs runs
+  iarank fleet worker --coordinator 127.0.0.1:8080 --worker-id w1
+  iarank dse run --spec grid.toml --workers-remote 127.0.0.1:8080
 "
     .to_owned()
 }

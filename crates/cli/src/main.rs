@@ -6,8 +6,28 @@ mod args;
 mod commands;
 mod signal;
 
+use std::io::Write;
+
 use args::ParsedArgs;
 use commands::{CliError, MetricsOptions};
+
+/// Writes command output to stdout. A reader that stopped reading
+/// (`iarank … | head -1`) is not a failure: exit 0 quietly, as Unix
+/// filters do.
+fn write_stdout(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     // `--profile`, `--parallel`, `--fleet` and `--csv` are boolean
@@ -61,8 +81,8 @@ fn main() {
     }
     match commands::dispatch(&parsed) {
         Ok(output) => {
-            print!("{output}");
-            print!("{}", metrics.render());
+            write_stdout(&output);
+            write_stdout(&metrics.render());
             // The trace and logs go to their own files; confirmations
             // go to stderr so `--metrics json | tail -n 1` stays
             // intact.

@@ -1,7 +1,7 @@
 //! End-to-end tests of the installed `iarank` binary via a real process
 //! (argument handling, exit codes, stdout/stderr separation).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn iarank() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iarank"))
@@ -66,4 +66,21 @@ fn bad_flag_value_exits_nonzero() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("plenty"));
+}
+
+#[test]
+fn a_closed_stdout_exits_zero_without_a_panic() {
+    // The read end is dropped before the spawn, so the first write to
+    // stdout fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = iarank()
+        .arg("help")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

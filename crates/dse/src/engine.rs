@@ -165,7 +165,7 @@ fn effective_workers(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> usize {
 
 /// Truncates an expanded point set to the spec's `max_points` cap,
 /// counting points that already completed against the cap.
-pub(crate) fn apply_cap(spec: &ExperimentSpec, points: &mut Vec<Point>, completed: usize) {
+fn apply_cap(spec: &ExperimentSpec, points: &mut Vec<Point>, completed: usize) {
     if let Some(cap) = spec.max_points {
         let cap = usize::try_from(cap).unwrap_or(usize::MAX);
         let room = cap.saturating_sub(completed);
@@ -173,15 +173,13 @@ pub(crate) fn apply_cap(spec: &ExperimentSpec, points: &mut Vec<Point>, complete
     }
 }
 
-/// One adaptive-refinement step, shared by the in-process engine and
-/// the shared-store fleet workers (which must all derive the *same*
-/// next frontier from the same completed set): detects rank cliffs in
-/// `completed`, bisects every cliff interval into `axis_values`, and
-/// returns the refined not-yet-completed point set — or `None` when
-/// the grid is converged (no interval grew, or nothing new fits under
-/// the spec's point cap). Deterministic: depends only on the spec and
-/// the completed points.
-pub(crate) fn refine_frontier(
+/// One adaptive-refinement step: detects rank cliffs in `completed`,
+/// bisects every cliff interval into `axis_values`, and returns the
+/// refined not-yet-completed point set — or `None` when the grid is
+/// converged (no interval grew, or nothing new fits under the spec's
+/// point cap). Deterministic: depends only on the spec and the
+/// completed points.
+fn refine_frontier(
     spec: &ExperimentSpec,
     axis_values: &mut [Vec<f64>],
     completed: &BTreeMap<u128, SolvedPoint>,

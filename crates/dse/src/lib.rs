@@ -29,7 +29,10 @@
 //!   rank, minimize repeater area) and rank-cliff detection; the
 //!   adaptive strategy bisects axis intervals across detected cliffs.
 //! * **[`engine`]** — `run` / `resume` / in-memory `explore`, the
-//!   entry points the CLI and `ia-serve` jobs call.
+//!   entry points the CLI and `ia-serve` jobs call. A run is spread
+//!   over several machines by `ia-serve`'s fleet coordinator, which
+//!   substitutes a remote [`PointSolver`] through
+//!   [`RunOptions::solver`], so one process still writes the store.
 //! * **[`report`]** — deterministic Table-4-style text reports over a
 //!   completed run, rendered through `ia-report`.
 //!
@@ -41,10 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod claims;
 pub mod engine;
 mod error;
-pub mod fleet;
 pub mod pareto;
 pub mod point;
 pub mod report;
@@ -52,10 +53,8 @@ pub mod scheduler;
 pub mod spec;
 pub mod store;
 
-pub use claims::{ClaimJournal, ClaimOutcome};
 pub use engine::{explore, resume, run, RoundTiming, RunOptions, RunOutcome, SolvedPoint};
 pub use error::DseError;
-pub use fleet::{FleetOptions, FleetOutcome};
 pub use pareto::{pareto_front, Cliff};
 pub use point::Point;
 pub use scheduler::{LocalSolver, PointSolver};
@@ -88,19 +87,12 @@ pub mod names {
     pub const SPAN_POINT: &str = "dse.point";
     /// Worker-thread name prefix registered with the merge sink.
     pub const WORKER_PREFIX: &str = "dse.worker.";
-    /// Claim attempts appended to a run's claim journal.
-    pub const FLEET_CLAIMS: &str = "fleet.claims";
-    /// Claims won (this worker holds the lease).
+    /// Worker: point leases taken from the coordinator.
     pub const FLEET_CLAIMED: &str = "fleet.claimed";
-    /// Claims lost to a peer's live lease.
-    pub const FLEET_LOST: &str = "fleet.lost";
-    /// Leases released after the point's result landed.
-    pub const FLEET_RELEASED: &str = "fleet.released";
-    /// Expired leases taken over from dead workers — the dead-worker
-    /// recovery counter (also ticked by the serve coordinator when it
-    /// redispatches a batch from a worker that missed heartbeats).
+    /// Coordinator: leases re-queued because they expired or their
+    /// worker missed heartbeats — the dead-worker recovery counter.
     pub const FLEET_RECLAIMED: &str = "fleet.reclaimed";
-    /// Poll waits while peers held every pending point.
+    /// Worker: claim polls the coordinator answered with `idle`.
     pub const FLEET_IDLE_WAITS: &str = "fleet.idle_waits";
     /// Coordinator: register/heartbeat requests accepted.
     pub const FLEET_REGISTERED: &str = "fleet.registered";

@@ -701,9 +701,23 @@ fn parse_strategy(doc: &JsonValue) -> Result<Strategy, DseError> {
 /// strings (`\\` and `\"` escapes), booleans, integers, floats, and
 /// single-line arrays of scalars. That is the whole grammar an
 /// experiment file needs; anything else is a parse error, never a
-/// silent misread.
+/// silent misread. Errors quote at most [`EXCERPT_CHARS`] characters
+/// of the input, and nothing nests deeper than
+/// [`ia_obs::json::MAX_DEPTH`], so no spec can exhaust the stack.
 pub mod toml_subset {
-    use ia_obs::json::JsonValue;
+    use ia_obs::json::{JsonValue, MAX_DEPTH};
+
+    /// The most characters of the input an error message quotes.
+    pub const EXCERPT_CHARS: usize = 40;
+
+    /// `text` cut to [`EXCERPT_CHARS`] characters, ending in `…` when
+    /// cut, so an error never echoes a whole oversized line.
+    fn excerpt(text: &str) -> String {
+        match text.char_indices().nth(EXCERPT_CHARS) {
+            Some((cut, _)) => format!("{}…", &text[..cut]),
+            None => text.to_owned(),
+        }
+    }
 
     /// Parses the TOML subset into a [`JsonValue`] tree.
     ///
@@ -738,13 +752,13 @@ pub mod toml_subset {
             } else if let Some((key, value)) = line.split_once('=') {
                 let key = key.trim();
                 if !is_bare_key(key) {
-                    return Err(context(format!("invalid key `{key}`")));
+                    return Err(context(format!("invalid key `{}`", excerpt(key))));
                 }
                 let value = parse_value(value.trim()).map_err(&context)?;
                 let table = navigate(&mut root, &current, false).map_err(&context)?;
                 insert(table, key, value).map_err(&context)?;
             } else {
-                return Err(context(format!("cannot parse `{line}`")));
+                return Err(context(format!("cannot parse `{}`", excerpt(&line))));
             }
         }
         Ok(root)
@@ -779,7 +793,13 @@ pub mod toml_subset {
             .map(|p| p.trim().to_owned())
             .collect();
         if parts.iter().any(|p| !is_bare_key(p)) {
-            return Err(format!("invalid table path `{path}`"));
+            return Err(format!("invalid table path `{}`", excerpt(path)));
+        }
+        if parts.len() > MAX_DEPTH {
+            return Err(format!(
+                "table path `{}` is nested deeper than {MAX_DEPTH} levels",
+                excerpt(path)
+            ));
         }
         Ok(parts)
     }
@@ -795,11 +815,11 @@ pub mod toml_subset {
         let mut node = root;
         for seg in path {
             let JsonValue::Obj(pairs) = node else {
-                return Err(format!("`{seg}` is not a table"));
+                return Err(format!("`{}` is not a table", excerpt(seg)));
             };
             if !pairs.iter().any(|(k, _)| k == seg) {
                 if !create {
-                    return Err(format!("unknown table `{seg}`"));
+                    return Err(format!("unknown table `{}`", excerpt(seg)));
                 }
                 pairs.push((seg.clone(), JsonValue::Obj(Vec::new())));
             }
@@ -807,11 +827,11 @@ pub mod toml_subset {
                 .iter_mut()
                 .find(|(k, _)| k == seg)
                 .map(|(_, v)| v)
-                .ok_or_else(|| format!("unknown table `{seg}`"))?;
+                .ok_or_else(|| format!("unknown table `{}`", excerpt(seg)))?;
             node = match entry {
                 JsonValue::Arr(items) => items
                     .last_mut()
-                    .ok_or_else(|| format!("empty table array `{seg}`"))?,
+                    .ok_or_else(|| format!("empty table array `{}`", excerpt(seg)))?,
                 other => other,
             };
         }
@@ -824,7 +844,7 @@ pub mod toml_subset {
         };
         let parent = navigate(root, parents, true)?;
         let JsonValue::Obj(pairs) = parent else {
-            return Err(format!("`{last}` is not inside a table"));
+            return Err(format!("`{}` is not inside a table", excerpt(last)));
         };
         if !pairs.iter().any(|(k, _)| k == last) {
             pairs.push((last.clone(), JsonValue::Arr(Vec::new())));
@@ -833,9 +853,9 @@ pub mod toml_subset {
             .iter_mut()
             .find(|(k, _)| k == last)
             .map(|(_, v)| v)
-            .ok_or_else(|| format!("unknown table `{last}`"))?;
+            .ok_or_else(|| format!("unknown table `{}`", excerpt(last)))?;
         let JsonValue::Arr(items) = entry else {
-            return Err(format!("`{last}` is already a non-array value"));
+            return Err(format!("`{}` is already a non-array value", excerpt(last)));
         };
         items.push(JsonValue::Obj(Vec::new()));
         Ok(())
@@ -843,10 +863,10 @@ pub mod toml_subset {
 
     fn insert(table: &mut JsonValue, key: &str, value: JsonValue) -> Result<(), String> {
         let JsonValue::Obj(pairs) = table else {
-            return Err(format!("cannot set `{key}` on a non-table"));
+            return Err(format!("cannot set `{}` on a non-table", excerpt(key)));
         };
         if pairs.iter().any(|(k, _)| k == key) {
-            return Err(format!("duplicate key `{key}`"));
+            return Err(format!("duplicate key `{}`", excerpt(key)));
         }
         pairs.push((key.to_owned(), value));
         Ok(())
@@ -859,14 +879,19 @@ pub mod toml_subset {
         if let Some(body) = text.strip_prefix('[') {
             let body = body
                 .strip_suffix(']')
-                .ok_or_else(|| format!("unterminated array `{text}`"))?
+                .ok_or_else(|| format!("unterminated array `{}`", excerpt(text)))?
                 .trim();
             let mut items = Vec::new();
             if !body.is_empty() {
                 for part in body.split(',') {
                     let part = part.trim();
                     if part.is_empty() {
-                        return Err(format!("empty array element in `{text}`"));
+                        return Err(format!("empty array element in `{}`", excerpt(text)));
+                    }
+                    // Arrays hold scalars only; rejecting here also
+                    // keeps this parser from recursing.
+                    if part.starts_with('[') {
+                        return Err(format!("nested array in `{}`", excerpt(text)));
                     }
                     items.push(parse_value(part)?);
                 }
@@ -886,7 +911,7 @@ pub mod toml_subset {
         }
         match plain.parse::<f64>() {
             Ok(x) if x.is_finite() => Ok(JsonValue::Num(x)),
-            _ => Err(format!("cannot parse value `{text}`")),
+            _ => Err(format!("cannot parse value `{}`", excerpt(text))),
         }
     }
 
@@ -894,7 +919,7 @@ pub mod toml_subset {
         let mut out = String::new();
         let mut chars = text.chars();
         if chars.next() != Some('"') {
-            return Err(format!("expected a quoted string, got `{text}`"));
+            return Err(format!("expected a quoted string, got `{}`", excerpt(text)));
         }
         let mut closed = false;
         while let Some(c) = chars.next() {
@@ -912,7 +937,7 @@ pub mod toml_subset {
             }
         }
         if !closed || chars.next().is_some() {
-            return Err(format!("malformed string `{text}`"));
+            return Err(format!("malformed string `{}`", excerpt(text)));
         }
         Ok(out)
     }
@@ -1110,6 +1135,37 @@ steps = 3
             "s = \"unterminated",         // unterminated string
         ] {
             assert!(ExperimentSpec::parse_str(bad_toml).is_err(), "{bad_toml}");
+        }
+        // A huge value is quoted as a short excerpt, never whole.
+        let huge = format!("name = \"x\"\nworkers = {}", "z".repeat(1_000_000));
+        let err = ExperimentSpec::parse_str(&huge).unwrap_err().to_string();
+        let excerpt = "z".repeat(toml_subset::EXCERPT_CHARS);
+        assert!(err.contains(&format!("`{excerpt}…`")), "{err}");
+        assert!(err.len() < 200, "{} bytes", err.len());
+    }
+
+    #[test]
+    fn toml_rejects_nesting_without_recursing() {
+        // Nested arrays: no spec field takes one, and the old
+        // recursive element parse overflowed the stack on deep input.
+        for depth in [2, 30_000, 200_000] {
+            let text = format!(
+                "name = \"x\"\nfoo = {}{}",
+                "[".repeat(depth),
+                "]".repeat(depth)
+            );
+            let err = toml_subset::parse(&text).unwrap_err();
+            assert!(err.contains("line 2: nested array"), "{err}");
+        }
+        assert!(toml_subset::parse("a = [1, [2, 3]]").is_err());
+        assert!(toml_subset::parse("a = [[1], [2]]").is_err());
+        // Dotted table paths nest one table per segment.
+        let path = |segments: usize| vec!["a"; segments].join(".");
+        let max = ia_obs::json::MAX_DEPTH;
+        toml_subset::parse(&format!("[{}]\nx = 1", path(max))).unwrap();
+        for segments in [max + 1, 200_000] {
+            let err = toml_subset::parse(&format!("[{}]", path(segments))).unwrap_err();
+            assert!(err.contains("nested deeper than"), "{err}");
         }
     }
 }

@@ -14,10 +14,8 @@
 //!   at its last character) is skipped wherever it sits — the point
 //!   simply re-solves — while any other malformed line is a loud
 //!   [`DseError::Corrupt`]: resumability must never silently drop
-//!   completed work. A torn tail is never truncated (fleet workers
-//!   append to one journal from several processes, so the tail may
-//!   belong to another writer); the next append starts on a fresh
-//!   line instead.
+//!   completed work. A torn tail is never truncated; the next append
+//!   starts on a fresh line instead.
 //!
 //! The store doubles as a [`PointCache`]: the scheduler's cache hook
 //! reads previously-completed points from it and appends fresh
@@ -146,18 +144,6 @@ impl RunStore {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Re-reads `results.jsonl` from disk — how a fleet worker sees
-    /// points its peers completed since the store was opened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::Io`] / [`DseError::Corrupt`] like open.
-    pub fn reload(&self) -> Result<BTreeMap<u128, CachedSolve>, DseError> {
-        let (completed, torn_tail) = load_results(&self.dir.join("results.jsonl"))?;
-        self.torn_tail.store(torn_tail, Ordering::SeqCst);
-        Ok(completed)
     }
 
     /// Appends one completed point and flushes it to disk, so a kill

@@ -193,10 +193,15 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a character offset when `text` is
-    /// not well-formed JSON or has trailing non-whitespace.
+    /// not well-formed JSON, has trailing non-whitespace, or nests
+    /// arrays and objects deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let chars: Vec<char> = text.chars().collect();
-        let mut p = Parser { chars, pos: 0 };
+        let mut p = Parser {
+            chars,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -242,9 +247,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so without a limit a body of
+/// nothing but `[` overflows the stack and aborts the process. Every
+/// document the workspace writes, profiles included, nests far less.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -293,8 +306,8 @@ impl Parser {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => self.string().map(JsonValue::Str),
             Some('t') => self.literal("true", JsonValue::Bool(true)),
             Some('f') => self.literal("false", JsonValue::Bool(false)),
@@ -303,6 +316,19 @@ impl Parser {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -516,6 +542,24 @@ mod tests {
         let err = JsonValue::parse("[1, }").expect_err("malformed");
         assert!(err.offset >= 4, "offset points at the bad token: {err}");
         assert!(err.to_string().contains("offset"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the limit the parser stops at the limit: no stack
+        // overflow, on arrays and objects alike.
+        let err = JsonValue::parse(&"[".repeat(60_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!("{}1", "{\"a\":".repeat(1_000_000));
+        assert_eq!(
+            JsonValue::parse(&objects).expect_err("too deep").offset,
+            5 * MAX_DEPTH
+        );
     }
 
     #[test]

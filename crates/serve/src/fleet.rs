@@ -1,4 +1,6 @@
-//! The fleet coordinator and its remote workers.
+//! The fleet coordinator and its remote workers: the one distribution
+//! protocol. Workers need only TCP to the coordinator; one process
+//! writes the run store and one clock judges every lease.
 //!
 //! In fleet mode (`iarank serve --fleet`) a `POST /dse` job does not
 //! solve points on the job thread. Instead its [`FleetDispatcher`] —
@@ -35,7 +37,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use ia_dse::claims::now_ms;
 use ia_dse::names;
 use ia_dse::spec::{config_from_json, config_to_json};
 use ia_dse::store::{solve_from_json, solve_to_json};
@@ -50,6 +51,15 @@ use crate::http::error_body;
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wall-clock milliseconds since the Unix epoch: the coordinator's
+/// one clock for heartbeats and lease deadlines.
+fn now_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+        .unwrap_or(0)
 }
 
 /// One point awaiting a remote solve: its wire-form configuration, its

@@ -13,7 +13,8 @@
 //! * `GET /healthz` — liveness plus queue/cache occupancy;
 //! * `GET /metrics` — the merged `ia-obs` telemetry snapshot;
 //! * `POST /fleet/register|claim|result` — the distributed-dse worker
-//!   protocol (fleet mode; see [`fleet`]);
+//!   protocol (fleet mode; see [`fleet`]), the workspace's one way to
+//!   spread a run over several processes or machines;
 //! * `POST /shutdown` — graceful drain-then-exit.
 //!
 //! At its heart sits [`SolveCache`]: a sharded LRU keyed by a

@@ -10,7 +10,6 @@
 //! cargo run -p xtask -- check-logs FILE
 //! cargo run -p xtask -- check-prom FILE
 //! cargo run -p xtask -- check-prof FILE
-//! cargo run -p xtask -- check-claims FILE
 //! cargo run -p xtask -- check-corpus FILE
 //! ```
 //!
@@ -33,7 +32,6 @@ fn usage() -> ExitCode {
          \x20      ia-lint check-logs FILE\n\
          \x20      ia-lint check-prom FILE\n\
          \x20      ia-lint check-prof FILE\n\
-         \x20      ia-lint check-claims FILE\n\
          \x20      ia-lint check-corpus FILE\n\
          \n\
          lint walks the workspace source and enforces the domain rules\n\
@@ -54,8 +52,6 @@ fn usage() -> ExitCode {
          JSON written by `--prof-out FILE.json` and served by\n\
          `GET /debug/prof`, or the folded-stack text any other\n\
          `--prof-out` extension emits (auto-detected);\n\
-         check-claims validates a fleet `claims.jsonl` work-stealing\n\
-         journal (replaying the full claim/release/reclaim protocol);\n\
          check-corpus validates an ia-corpus-v1 rank-comparison report\n\
          (the `iarank corpus report` text or its `--csv true` form,\n\
          auto-detected).\n\
@@ -126,15 +122,12 @@ fn main() -> ExitCode {
         Some("check-prof") if args.len() == 2 => {
             return run_check("check-prof", &args[1], xtask::schema::check_prof);
         }
-        Some("check-claims") if args.len() == 2 => {
-            return run_check("check-claims", &args[1], xtask::schema::check_claims);
-        }
         Some("check-corpus") if args.len() == 2 => {
             return run_check("check-corpus", &args[1], xtask::schema::check_corpus);
         }
         Some(
             "check-metrics" | "check-trace" | "check-spec" | "check-sarif" | "check-logs"
-            | "check-prom" | "check-prof" | "check-claims" | "check-corpus",
+            | "check-prom" | "check-prof" | "check-corpus",
         ) => return usage(),
         _ => {}
     }

@@ -795,34 +795,6 @@ pub fn check_prof(text: &str) -> Result<String, String> {
     }
 }
 
-/// Validates a fleet `claims.jsonl` work-stealing journal by replaying
-/// it through the same protocol implementation the workers use
-/// (`ia_dse::claims`): canonical line shape, 32-hex keys, non-empty
-/// worker ids, `expires_ms >= ts_ms`, torn-tail-only corruption.
-///
-/// # Errors
-///
-/// Returns the replay failure (line number and cause) for any journal
-/// the worker fleet itself would refuse to run against.
-pub fn check_claims(text: &str) -> Result<String, String> {
-    let table = ia_dse::claims::replay_text(text)?;
-    let workers: std::collections::BTreeSet<&str> =
-        table.holders.values().map(|h| h.worker.as_str()).collect();
-    let mut summary = format!(
-        "claims journal OK: {} claim(s), {} release(s), {} reclaim(s), \
-         {} active lease(s) held by {} worker(s)",
-        table.claims,
-        table.releases,
-        table.reclaims,
-        table.holders.len(),
-        workers.len()
-    );
-    if table.torn_tail {
-        summary.push_str(" (torn final line dropped)");
-    }
-    Ok(summary)
-}
-
 /// The exact header of the stable `ia-corpus-v1` CSV schema.
 const CORPUS_CSV_HEADER: &str = "design,backend,gamma,key,rank,normalized,\
                                  total_wires,repeater_count,fully_assignable,\
@@ -1476,31 +1448,5 @@ h_count 5\n";
             r#"{{"counters":{{"c":{big}}},"spans":[{{"path":"p","calls":1,"total_ns":{big}}}],"histograms":[]}}"#
         );
         check_metrics(&doc).unwrap();
-    }
-
-    #[test]
-    fn check_claims_replays_a_work_stealing_journal() {
-        let key_a = format!("{:032x}", 0xa_u128);
-        let key_b = format!("{:032x}", 0xb_u128);
-        // w1 claims and releases A; w1's lease on B expires at t=20 and
-        // w2 reclaims it (still holding at end of journal).
-        let journal = format!(
-            "{{\"action\":\"claim\",\"expires_ms\":30,\"key\":\"{key_a}\",\"ts_ms\":10,\"worker\":\"w1\"}}\n\
-             {{\"action\":\"claim\",\"expires_ms\":20,\"key\":\"{key_b}\",\"ts_ms\":10,\"worker\":\"w1\"}}\n\
-             {{\"action\":\"release\",\"key\":\"{key_a}\",\"ts_ms\":15,\"worker\":\"w1\"}}\n\
-             {{\"action\":\"claim\",\"expires_ms\":99,\"key\":\"{key_b}\",\"ts_ms\":25,\"worker\":\"w2\"}}\n"
-        );
-        let summary = check_claims(&journal).unwrap();
-        assert_eq!(
-            summary,
-            "claims journal OK: 3 claim(s), 1 release(s), 1 reclaim(s), \
-             1 active lease(s) held by 1 worker(s)"
-        );
-        // A torn final line (kill mid-append) is tolerated and noted.
-        let torn = format!("{journal}{{\"action\":\"cl");
-        assert!(check_claims(&torn).unwrap().contains("torn final line"));
-        // The same tear anywhere else is corruption.
-        let corrupt = format!("{{\"action\":\"cl\n{journal}");
-        assert!(check_claims(&corrupt).unwrap_err().contains("line 1"));
     }
 }
