@@ -5,9 +5,7 @@
 
 use ia_arch::Architecture;
 use ia_bench::{baseline_builder, configured_gates};
-use ia_rank::sweep::{
-    equivalent_reductions, sweep_miller, sweep_permittivity, PAPER_K_VALUES, PAPER_M_VALUES,
-};
+use ia_rank::sweep::{equivalent_reductions, sweep_axis, Axis};
 use ia_report::Table;
 use ia_tech::presets;
 
@@ -17,8 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gates = configured_gates()?;
     let builder = baseline_builder(&node, &arch, gates);
 
-    let k = sweep_permittivity(&builder, &PAPER_K_VALUES)?;
-    let m = sweep_miller(&builder, &PAPER_M_VALUES)?;
+    let k = sweep_axis(&builder, Axis::K, Axis::K.paper_values())?;
+    let m = sweep_axis(&builder, Axis::M, Axis::M.paper_values())?;
 
     println!("K-vs-M equivalence, {gates} gates, 130 nm (paper §5.2)\n");
     let matches = equivalent_reductions(&k, &m);

@@ -8,10 +8,7 @@
 use ia_arch::Architecture;
 use ia_bench::{baseline_builder, configured_gates, sweep_table};
 use ia_obs::Stopwatch;
-use ia_rank::sweep::{
-    sweep_clock, sweep_miller, sweep_permittivity, sweep_repeater_fraction, PAPER_C_HERTZ,
-    PAPER_K_VALUES, PAPER_M_VALUES, PAPER_R_VALUES,
-};
+use ia_rank::sweep::{sweep_axis, Axis};
 use ia_tech::presets;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,25 +29,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sw = Stopwatch::start();
     let mut lap = || std::time::Duration::from_nanos(sw.lap_ns());
 
-    if want("k") {
-        let pts = sweep_permittivity(&builder, &PAPER_K_VALUES)?;
-        println!("{}", sweep_table("K", &pts, |x| format!("{x:.2}")));
-        println!("(K sweep in {:.1?})\n", lap());
-    }
-    if want("m") {
-        let pts = sweep_miller(&builder, &PAPER_M_VALUES)?;
-        println!("{}", sweep_table("M", &pts, |x| format!("{x:.2}")));
-        println!("(M sweep in {:.1?})\n", lap());
-    }
-    if want("c") {
-        let pts = sweep_clock(&builder, &PAPER_C_HERTZ)?;
-        println!("{}", sweep_table("C", &pts, |x| format!("{x:.2e}")));
-        println!("(C sweep in {:.1?})\n", lap());
-    }
-    if want("r") {
-        let pts = sweep_repeater_fraction(&builder, &PAPER_R_VALUES)?;
-        println!("{}", sweep_table("R", &pts, |x| format!("{x:.2}")));
-        println!("(R sweep in {:.1?})\n", lap());
+    for axis in Axis::ALL {
+        if !want(axis.label()) {
+            continue;
+        }
+        let pts = sweep_axis(&builder, axis, axis.paper_values())?;
+        let x_fmt: fn(f64) -> String = if axis == Axis::C {
+            |x| format!("{x:.2e}")
+        } else {
+            |x| format!("{x:.2}")
+        };
+        println!("{}", sweep_table(axis.symbol(), &pts, x_fmt));
+        println!("({} sweep in {:.1?})\n", axis.symbol(), lap());
     }
     Ok(())
 }

@@ -1,11 +1,16 @@
 //! Minimal dependency-free argument parsing for the `iarank` binary.
 //!
 //! Flags are `--name value` pairs (or `--name=value`); the first
-//! positional token is the subcommand. Unknown flags are errors so
-//! typos fail loudly.
+//! positional token is the subcommand. The boolean [`SWITCHES`] may
+//! also stand alone. Unknown flags are errors so typos fail loudly.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Boolean switches: a bare `--flag` means `true`, and the next token
+/// is the switch's value only when it is `true`, `false`, `1` or `0`
+/// (stored as `true` or `false`).
+pub const SWITCHES: [&str; 4] = ["profile", "parallel", "fleet", "csv"];
 
 /// Parsed command line: a command, an optional sub-action, plus
 /// `--flag value` options.
@@ -93,6 +98,15 @@ impl ParsedArgs {
             if let Some(flag) = tok.strip_prefix("--") {
                 if let Some((name, value)) = flag.split_once('=') {
                     options.insert(name.to_owned(), value.to_owned());
+                } else if SWITCHES.contains(&flag) {
+                    let value =
+                        iter.next_if(|v| matches!(v.as_str(), "true" | "false" | "1" | "0"));
+                    let value = if matches!(value.as_deref(), Some("false" | "0")) {
+                        "false"
+                    } else {
+                        "true"
+                    };
+                    options.insert(flag.to_owned(), value.to_owned());
                 } else {
                     let value = iter
                         .next()
@@ -191,6 +205,31 @@ mod tests {
         assert_eq!(a.get("gates", 0u64).unwrap(), 1000);
         assert_eq!(a.get_str("node").as_deref(), Some("90"));
         a.reject_unknown().unwrap();
+    }
+
+    #[test]
+    fn switches_stand_alone_or_take_a_boolean() {
+        let a = ParsedArgs::parse([
+            "sweep",
+            "--parallel",
+            "--profile",
+            "true",
+            "--csv",
+            "0",
+            "--fleet",
+            "--axis",
+            "r",
+        ])
+        .unwrap();
+        assert!(a.get("parallel", false).unwrap());
+        assert!(a.get("profile", false).unwrap());
+        assert!(!a.get("csv", true).unwrap());
+        assert!(a.get("fleet", false).unwrap());
+        assert_eq!(a.get_str("axis").as_deref(), Some("r"));
+        // Any other next token stays a positional.
+        let b = ParsedArgs::parse(["dse", "--csv", "report"]).unwrap();
+        assert_eq!(b.subcommand(), Some("report"));
+        assert!(b.get("csv", false).unwrap());
     }
 
     #[test]

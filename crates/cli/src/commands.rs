@@ -2,9 +2,10 @@
 
 use crate::args::{ArgsError, ParsedArgs};
 use ia_arch::{Architecture, ArchitectureBuilder};
+use ia_dse::scheduler::{execute, ExecOptions};
 use ia_netlist::{NetModel, Placement};
 use ia_rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
-use ia_rank::sweep::{self, Axis};
+use ia_rank::sweep::{Axis, CachedSolve, NoCache};
 use ia_rank::{explain, utilization, RankProblem, RankProblemBuilder};
 use ia_report::Table;
 use ia_tech::TechnologyNode;
@@ -34,6 +35,12 @@ impl std::error::Error for CliError {}
 impl From<ArgsError> for CliError {
     fn from(e: ArgsError) -> Self {
         CliError::Args(e)
+    }
+}
+
+impl From<ia_dse::DseError> for CliError {
+    fn from(e: ia_dse::DseError) -> Self {
+        domain(e)
     }
 }
 
@@ -368,7 +375,8 @@ pub fn cmd_rank(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// `iarank sweep --axis k|m|c|r [--parallel]`: regenerate one Table 4
-/// column, optionally with one worker thread per swept value.
+/// column on the dse point executor, with one worker, or one per
+/// available CPU under `--parallel`.
 pub fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
     let node = resolve_node(args)?;
     let architecture = resolve_architecture(args, &node)?;
@@ -381,12 +389,28 @@ pub fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
 
     let axis = Axis::parse(&axis).map_err(domain)?;
     let values = axis.paper_values();
-    let points = if parallel {
-        sweep::sweep_parallel(&builder, values, |b, x| axis.apply(b, x))
+    let workers = if parallel {
+        std::thread::available_parallelism().map_or(1, usize::from)
     } else {
-        sweep::sweep_axis(&builder, axis, values)
+        1
     };
-    Ok(ia_serve::api::sweep_table(axis, &points.map_err(domain)?))
+    let solve = |&x: &f64| -> Result<CachedSolve, CliError> {
+        let problem = axis.apply(builder.clone(), x).build().map_err(domain)?;
+        Ok(CachedSolve::of(&problem, &problem.rank()))
+    };
+    let outcome = execute(
+        &ia_serve::api::SWEEP_EXEC,
+        values,
+        &|x: &f64| u128::from(x.to_bits()),
+        &solve,
+        &NoCache,
+        &ExecOptions {
+            workers,
+            ..ExecOptions::default()
+        },
+    )?;
+    let points = ia_serve::api::sweep_points(values, &outcome);
+    Ok(ia_serve::api::sweep_table(axis, &points))
 }
 
 /// `iarank wld`: generate a Davis WLD and print or save it as CSV.
@@ -867,9 +891,10 @@ SHARED FLAGS (rank, sweep, optimize):
   --miller F               Miller coupling factor       [2.0]
   --k F                    ILD permittivity override    [node default]
   --global/--semi-global/--local N   stack pair counts  [1/2/0]
-  --parallel               (sweep only) one worker thread per swept
-                           value; worker telemetry is merged into the
-                           caller's snapshot and trace
+  --parallel               (sweep only) solve on one worker thread per
+                           available CPU instead of one; worker
+                           telemetry is merged into the caller's
+                           snapshot and trace
 
 DSE FLAGS:
   --spec FILE              experiment spec, TOML or JSON (dse run)
@@ -1339,8 +1364,8 @@ mod tests {
             .iter()
             .filter_map(|s| s.get("path").and_then(ia_obs::json::JsonValue::as_str))
             .collect();
-        assert!(paths.contains(&"sweep.parallel"), "{paths:?}");
-        assert!(paths.contains(&"dp.solve"), "{paths:?}");
+        assert!(paths.contains(&"sweep.point"), "{paths:?}");
+        assert!(paths.contains(&"sweep.point/dp.solve"), "{paths:?}");
     }
 
     #[test]
@@ -1380,15 +1405,20 @@ mod tests {
                         .is_some_and(|n| n.starts_with("sweep.worker."))
             })
             .collect();
-        assert_eq!(worker_tracks.len(), 5, "one track per R value: {text}");
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(
+            worker_tracks.len(),
+            workers.min(5),
+            "one per worker: {text}"
+        );
         let span_tids: std::collections::BTreeSet<u64> = events
             .iter()
             .filter(|e| matches!(e.get("ph").and_then(JsonValue::as_str), Some("B" | "E")))
             .filter_map(|e| e.get("tid").and_then(JsonValue::as_u64))
             .collect();
         assert!(
-            span_tids.len() >= 6,
-            "caller + workers render as distinct tracks: {span_tids:?}"
+            span_tids.len() >= worker_tracks.len(),
+            "workers render as distinct tracks: {span_tids:?}"
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -30,20 +30,7 @@ fn write_stdout(text: &str) {
 }
 
 fn main() {
-    // `--profile`, `--parallel`, `--fleet` and `--csv` are boolean
-    // switches; rewrite the bare forms into the `--flag=true` spelling
-    // the `--flag value` parser understands.
-    let tokens: Vec<String> = std::env::args()
-        .skip(1)
-        .map(|t| match t.as_str() {
-            "--profile" => "--profile=true".to_owned(),
-            "--parallel" => "--parallel=true".to_owned(),
-            "--fleet" => "--fleet=true".to_owned(),
-            "--csv" => "--csv=true".to_owned(),
-            _ => t,
-        })
-        .collect();
-    let parsed = match ParsedArgs::parse(tokens) {
+    let parsed = match ParsedArgs::parse(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");

@@ -23,7 +23,9 @@
 //!     delay-free bottom-up packing, optimal by the paper's Lemma 1.
 //! * **Physics layer**: [`RankProblem`] binds a technology node, an
 //!   architecture, a WLD, a clock and the Table 2 knobs into an
-//!   [`Instance`]; [`sweep`] regenerates the Table 4 parameter sweeps.
+//!   [`Instance`]; [`sweep`] names the Table 4 axes and runs a serial
+//!   sweep. The crate starts no thread: batches of points run on
+//!   `ia_dse::scheduler::execute`.
 //!
 //! # Examples
 //!

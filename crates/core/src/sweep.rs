@@ -4,11 +4,11 @@
 //! grids, and the one way a swept value is applied to a
 //! [`RankProblemBuilder`].
 //!
-//! Sweeps can consult a caller-supplied [`PointCache`]: before
-//! rebuilding and solving a point, the runner asks the cache for a
-//! previously computed [`CachedSolve`] under a caller-derived
-//! content-address. `ia-serve` plugs its sharded LRU in here so HTTP
-//! sweep requests share entries with individual `/solve` requests.
+//! [`sweep_axis`] is the serial library sweep. Batches of points —
+//! parallel sweeps, `/sweep` requests, dse and corpus runs — run on
+//! `ia_dse::scheduler::execute`, which consults a [`PointCache`] of
+//! [`CachedSolve`]s under each point's content address; this crate
+//! starts no thread.
 
 use crate::canon::{BindError, BoundConfig, Knob};
 use crate::telemetry::{self, names};
@@ -215,19 +215,12 @@ impl CachedSolve {
     }
 }
 
-/// A content-addressed store of solved points that sweep runners
-/// consult before rebuilding and re-solving a configuration.
-///
-/// The *caller* derives the key: [`key`](Self::key) maps a swept value
-/// to the content-address of the fully-bound problem it produces (or
-/// `None` to bypass the cache for that value). `Sync` because the
-/// thread-per-value parallel runner shares one cache across workers;
-/// lookups and stores may race, at worst costing a duplicate solve.
+/// A content-addressed store of solved points that a point executor
+/// consults before solving a configuration, keyed by the caller's
+/// content address (`BoundConfig::cache_key` or a dse point key).
+/// `Sync` because an executor's workers share one cache; lookups and
+/// stores may race, at worst costing a duplicate solve.
 pub trait PointCache: Sync {
-    /// The content-address of the problem produced by swept value `x`,
-    /// or `None` to solve uncached.
-    fn key(&self, x: f64) -> Option<u128>;
-
     /// Fetches a previously stored solve under `key`.
     fn lookup(&self, key: u128) -> Option<CachedSolve>;
 
@@ -235,49 +228,16 @@ pub trait PointCache: Sync {
     fn store(&self, key: u128, value: CachedSolve);
 }
 
-/// The no-op cache: every value solves fresh. Used by the plain sweep
-/// entry points.
+/// The no-op cache: every point solves fresh.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoCache;
 
 impl PointCache for NoCache {
-    fn key(&self, _x: f64) -> Option<u128> {
-        None
-    }
-
     fn lookup(&self, _key: u128) -> Option<CachedSolve> {
         None
     }
 
     fn store(&self, _key: u128, _value: CachedSolve) {}
-}
-
-/// Solves one swept value through the cache: lookup under the
-/// caller-derived key, else build + rank + store.
-fn solve_point<'a, F>(
-    builder: &RankProblemBuilder<'a>,
-    x: f64,
-    apply: &F,
-    cache: &dyn PointCache,
-) -> Result<SweepPoint, RankError>
-where
-    F: Fn(RankProblemBuilder<'a>, f64) -> RankProblemBuilder<'a>,
-{
-    let key = cache.key(x);
-    if let Some(key) = key {
-        if let Some(cached) = cache.lookup(key) {
-            telemetry::counter_add(names::SWEEP_CACHE_HITS, 1);
-            return Ok(cached.point(x));
-        }
-    }
-    let problem = apply(builder.clone(), x).build()?;
-    let result = problem.rank();
-    let cached = CachedSolve::of(&problem, &result);
-    if let Some(key) = key {
-        telemetry::counter_add(names::SWEEP_CACHE_MISSES, 1);
-        cache.store(key, cached);
-    }
-    Ok(cached.point(x))
 }
 
 /// The ILD-permittivity grid of Table 4's `K` column: 3.9 down to 1.8.
@@ -300,31 +260,8 @@ pub const PAPER_C_HERTZ: [f64; 13] = [
 /// The repeater-fraction grid of Table 4's `R` column: 0.1 to 0.5.
 pub const PAPER_R_VALUES: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Runs a serial sweep that consults `cache` before solving each value
-/// (see [`PointCache`]). Hits and misses are recorded under the
-/// `sweep.cache.*` counters; values the cache declines to key solve
-/// fresh without touching the counters.
-///
-/// # Errors
-///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_cached<'a, F>(
-    builder: &RankProblemBuilder<'a>,
-    values: &[f64],
-    apply: F,
-    cache: &dyn PointCache,
-) -> Result<Vec<SweepPoint>, RankError>
-where
-    F: Fn(RankProblemBuilder<'a>, f64) -> RankProblemBuilder<'a>,
-{
-    values
-        .iter()
-        .map(|&x| solve_point(builder, x, &apply, cache))
-        .collect()
-}
-
-/// Sweeps one Table 4 axis over `values` (axis units), uncached,
-/// under the axis' own `sweep.*` span.
+/// Sweeps one Table 4 axis over `values` (axis units), serially and
+/// uncached, under the axis' own `sweep.*` span.
 ///
 /// # Errors
 ///
@@ -335,124 +272,13 @@ pub fn sweep_axis(
     values: &[f64],
 ) -> Result<Vec<SweepPoint>, RankError> {
     let _span = telemetry::span(axis.span());
-    sweep_cached(builder, values, |b, x| axis.apply(b, x), &NoCache)
-}
-
-/// Sweeps the ILD permittivity `K` (Table 4, first column group).
-///
-/// # Errors
-///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_permittivity(
-    builder: &RankProblemBuilder<'_>,
-    values: &[f64],
-) -> Result<Vec<SweepPoint>, RankError> {
-    sweep_axis(builder, Axis::K, values)
-}
-
-/// Sweeps the Miller coupling factor `M` (Table 4, second column group).
-///
-/// # Errors
-///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_miller(
-    builder: &RankProblemBuilder<'_>,
-    values: &[f64],
-) -> Result<Vec<SweepPoint>, RankError> {
-    sweep_axis(builder, Axis::M, values)
-}
-
-/// Sweeps the target clock frequency `C` in hertz (Table 4, third
-/// column group).
-///
-/// # Errors
-///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_clock(
-    builder: &RankProblemBuilder<'_>,
-    hertz: &[f64],
-) -> Result<Vec<SweepPoint>, RankError> {
-    sweep_axis(builder, Axis::C, hertz)
-}
-
-/// Sweeps the repeater-area fraction `R` (Table 4, fourth column group).
-///
-/// # Errors
-///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_repeater_fraction(
-    builder: &RankProblemBuilder<'_>,
-    fractions: &[f64],
-) -> Result<Vec<SweepPoint>, RankError> {
-    sweep_axis(builder, Axis::R, fractions)
-}
-
-/// Runs a sweep with one thread per value (scoped threads), preserving
-/// input order in the output. Each thread rebuilds and solves its own
-/// problem; the builder is cloned per thread. Useful for the full
-/// Table 4 grids on multi-core hosts.
-///
-/// Every worker registers with a telemetry merge sink, and the sink is
-/// collected after the join — so with the collector (or tracing)
-/// enabled, the workers' counters, histograms and trace events appear
-/// in the caller's subsequent `ia_obs::snapshot()` /
-/// `ia_obs::drain_trace()` exactly as a serial sweep's would.
-///
-/// # Errors
-///
-/// Propagates the first [`RankError`] encountered (by input order).
-pub fn sweep_parallel<'a, F>(
-    builder: &RankProblemBuilder<'a>,
-    values: &[f64],
-    apply: F,
-) -> Result<Vec<SweepPoint>, RankError>
-where
-    F: for<'b> Fn(RankProblemBuilder<'b>, f64) -> RankProblemBuilder<'b> + Sync,
-{
-    sweep_parallel_cached(builder, values, apply, &NoCache)
-}
-
-/// [`sweep_parallel`] with a shared [`PointCache`] consulted by every
-/// worker (the trait's `Sync` bound makes the sharing sound; racing
-/// workers at worst solve a value twice).
-///
-/// # Errors
-///
-/// Propagates the first [`RankError`] encountered (by input order).
-pub fn sweep_parallel_cached<'a, F>(
-    builder: &RankProblemBuilder<'a>,
-    values: &[f64],
-    apply: F,
-    cache: &dyn PointCache,
-) -> Result<Vec<SweepPoint>, RankError>
-where
-    F: for<'b> Fn(RankProblemBuilder<'b>, f64) -> RankProblemBuilder<'b> + Sync,
-{
-    let _span = telemetry::span(names::SPAN_SWEEP_PARALLEL);
-    let sink = telemetry::MergeSink::new();
-    let result = std::thread::scope(|scope| {
-        let handles: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let b = builder.clone();
-                let apply = &apply;
-                let sink = &sink;
-                scope.spawn(move || -> Result<SweepPoint, RankError> {
-                    let _worker =
-                        sink.register_worker(&format!("{}.{i}", names::SWEEP_WORKER_PREFIX));
-                    solve_point(&b, x, apply, cache)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: no-panic (propagates worker panics)
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    sink.collect();
-    result
+    values
+        .iter()
+        .map(|&x| {
+            let problem = axis.apply(builder.clone(), x).build()?;
+            Ok(CachedSolve::of(&problem, &problem.rank()).point(x))
+        })
+        .collect()
 }
 
 /// A matched pair of parameter reductions achieving (approximately) the
@@ -548,19 +374,19 @@ mod tests {
             .bunch_size(2_000);
 
         // Lower K can only help (weakly).
-        let k = sweep_permittivity(&base, &[3.9, 2.7, 1.8]).unwrap();
+        let k = sweep_axis(&base, Axis::K, &[3.9, 2.7, 1.8]).unwrap();
         assert!(k[0].rank <= k[1].rank && k[1].rank <= k[2].rank, "{k:?}");
 
         // Lower M can only help (weakly).
-        let m = sweep_miller(&base, &[2.0, 1.5, 1.0]).unwrap();
+        let m = sweep_axis(&base, Axis::M, &[2.0, 1.5, 1.0]).unwrap();
         assert!(m[0].rank <= m[1].rank && m[1].rank <= m[2].rank, "{m:?}");
 
         // Faster clocks can only hurt (weakly).
-        let c = sweep_clock(&base, &[5e8, 1e9, 1.7e9]).unwrap();
+        let c = sweep_axis(&base, Axis::C, &[5e8, 1e9, 1.7e9]).unwrap();
         assert!(c[0].rank >= c[1].rank && c[1].rank >= c[2].rank, "{c:?}");
 
         // Larger repeater budget can only help (weakly).
-        let r = sweep_repeater_fraction(&base, &[0.1, 0.3, 0.5]).unwrap();
+        let r = sweep_axis(&base, Axis::R, &[0.1, 0.3, 0.5]).unwrap();
         assert!(r[0].rank <= r[1].rank && r[1].rank <= r[2].rank, "{r:?}");
     }
 
@@ -597,154 +423,6 @@ mod tests {
         assert_eq!(Axis::C.to_knob(5.0e8), 500.0);
         assert_eq!(Knob::C.default_values().unwrap()[0], 500.0);
         assert!(Axis::R.to_string().contains("repeater"));
-    }
-
-    /// A transparent test cache: keys every value by its bit pattern.
-    #[derive(Default)]
-    struct MapCache {
-        map: std::sync::Mutex<std::collections::BTreeMap<u128, CachedSolve>>,
-        stores: std::sync::atomic::AtomicU64,
-    }
-
-    impl PointCache for MapCache {
-        fn key(&self, x: f64) -> Option<u128> {
-            Some(u128::from(x.to_bits()))
-        }
-
-        fn lookup(&self, key: u128) -> Option<CachedSolve> {
-            self.map.lock().unwrap().get(&key).copied()
-        }
-
-        fn store(&self, key: u128, value: CachedSolve) {
-            self.stores
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.map.lock().unwrap().insert(key, value);
-        }
-    }
-
-    #[test]
-    fn cached_sweep_matches_uncached_and_reuses_entries() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
-        let values = [3.9, 3.0, 2.1];
-        let plain = sweep_permittivity(&base, &values).unwrap();
-
-        let cache = MapCache::default();
-        let cold = sweep_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
-        assert_eq!(cold, plain, "the cache is transparent");
-        assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
-
-        // Second pass: everything answered from the cache, nothing stored.
-        let warm = sweep_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
-        assert_eq!(warm, plain);
-        assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
-
-        // The parallel runner shares the same entries.
-        let parallel =
-            sweep_parallel_cached(&base, &values, |b, k| Axis::K.apply(b, k), &cache).unwrap();
-        assert_eq!(parallel, plain);
-        assert_eq!(cache.stores.load(std::sync::atomic::Ordering::Relaxed), 3);
-
-        // Cached values carry the full solve summary.
-        let entry = cache
-            .lookup(cache.key(3.9).unwrap())
-            .expect("3.9 was stored");
-        assert_eq!(entry.rank, plain[0].rank);
-        assert!(entry.total_wires >= entry.rank);
-        assert!(entry.die_area_m2 > 0.0);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn cached_sweep_records_hit_and_miss_counters() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
-        let cache = MapCache::default();
-        ia_obs::set_enabled(true);
-        ia_obs::reset();
-        let _ = sweep_cached(&base, &[3.9, 3.0], |b, k| Axis::K.apply(b, k), &cache).unwrap();
-        let _ = sweep_cached(&base, &[3.9, 3.0], |b, k| Axis::K.apply(b, k), &cache).unwrap();
-        let snap = ia_obs::snapshot();
-        assert_eq!(snap.counter(names::SWEEP_CACHE_MISSES), Some(2));
-        assert_eq!(snap.counter(names::SWEEP_CACHE_HITS), Some(2));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
-        let values = [3.9, 3.0, 2.1];
-        let serial = sweep_permittivity(&base, &values).unwrap();
-        let parallel = sweep_parallel(&base, &values, |b, k| Axis::K.apply(b, k)).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn parallel_sweep_merges_worker_telemetry() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
-        ia_obs::set_enabled(true);
-        ia_obs::reset();
-        let _ = sweep_parallel(&base, &[3.9, 3.0, 2.1], |b, k| Axis::K.apply(b, k)).unwrap();
-        let snap = ia_obs::snapshot();
-        assert!(
-            snap.counter(names::DP_STATES).unwrap_or(0) > 0,
-            "worker DP counters merge into the caller's snapshot: {snap:?}"
-        );
-        assert_eq!(
-            snap.spans[names::SPAN_DP_SOLVE].calls,
-            3,
-            "one merged dp.solve span per worker"
-        );
-        assert!(
-            snap.spans.contains_key(names::SPAN_SWEEP_PARALLEL),
-            "the caller's own span is still there"
-        );
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn parallel_cached_sweep_merges_worker_phase_spans() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
-        let cache = MapCache::default();
-        ia_obs::set_enabled(true);
-        ia_obs::reset();
-        let _ = sweep_parallel_cached(&base, &[3.9, 3.0, 2.1], |b, k| Axis::K.apply(b, k), &cache)
-            .unwrap();
-        let snap = ia_obs::snapshot();
-        // Workers solve inside their own thread-local collectors; after
-        // the merge, the solver's phase spans appear under the same
-        // dp.solve/expand paths as a serial solve would record.
-        let expand = format!("{}/{}", names::SPAN_DP_SOLVE, names::SPAN_DP_EXPAND);
-        let solves = snap.spans[names::SPAN_DP_SOLVE].calls;
-        assert_eq!(solves, 3, "one merged dp.solve span per worker");
-        assert!(
-            snap.spans[&expand].calls >= solves,
-            "at least one merged expand span per solve: {:?}",
-            snap.spans.keys().collect::<Vec<_>>()
-        );
-        let merge = format!("{expand}/{}", names::SPAN_DP_FRONT_MERGE);
-        assert!(
-            snap.spans[&merge].calls > 0,
-            "front merges recorded under the expand phase"
-        );
     }
 
     #[test]

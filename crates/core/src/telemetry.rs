@@ -50,12 +50,6 @@ pub mod names {
     pub const INSTANCE_PAIRS: &str = "instance.pairs";
     /// Counter: candidate stacks evaluated by the optimizer.
     pub const OPTIMIZE_CANDIDATES: &str = "optimize.candidates";
-    /// Counter: sweep points answered from a caller-supplied
-    /// [`crate::sweep::PointCache`] instead of re-solved.
-    pub const SWEEP_CACHE_HITS: &str = "sweep.cache.hits";
-    /// Counter: sweep points solved fresh and stored into a
-    /// caller-supplied [`crate::sweep::PointCache`].
-    pub const SWEEP_CACHE_MISSES: &str = "sweep.cache.misses";
 
     /// Span: the DP solve proper ([`crate::dp::rank`]).
     pub const SPAN_DP_SOLVE: &str = "dp.solve";
@@ -105,16 +99,6 @@ pub mod names {
     pub const SPAN_SWEEP_CLOCK: &str = "sweep.clock";
     /// Span: one repeater-fraction (`R`) sweep.
     pub const SPAN_SWEEP_REPEATER_FRACTION: &str = "sweep.repeater_fraction";
-    /// Span: a thread-per-value parallel sweep. Covers spawn-to-join on
-    /// the calling thread; each worker registers with a merge sink, so
-    /// after the join the workers' counters, histograms and trace
-    /// events are folded into the caller's collector (see the collector
-    /// model in `docs/observability.md`).
-    pub const SPAN_SWEEP_PARALLEL: &str = "sweep.parallel";
-    /// Thread-name prefix for parallel-sweep workers; worker `i`
-    /// registers as `sweep.worker.<i>` and shows up under that track
-    /// name in trace exports.
-    pub const SWEEP_WORKER_PREFIX: &str = "sweep.worker";
     /// Span: one full sensitivity analysis (all four elasticities).
     pub const SPAN_SENSITIVITY: &str = "sensitivity";
     /// Span: one BEOL stack search.
@@ -122,7 +106,7 @@ pub mod names {
 }
 
 #[cfg(feature = "telemetry")]
-pub(crate) use ia_obs::{counter_add, counter_max, histogram_record, hot_span, span, MergeSink};
+pub(crate) use ia_obs::{counter_add, counter_max, histogram_record, hot_span, span};
 
 /// Inert stand-ins compiled when the `telemetry` feature is off: every
 /// recording call is an empty inlined function the optimizer erases.
@@ -130,29 +114,6 @@ pub(crate) use ia_obs::{counter_add, counter_max, histogram_record, hot_span, sp
 mod noop {
     /// Inert span guard (drop does nothing).
     pub(crate) struct Span;
-
-    /// Inert worker-registration guard (drop does nothing).
-    pub(crate) struct WorkerGuard;
-
-    /// Inert merge sink mirroring `ia_obs::MergeSink`.
-    #[derive(Clone)]
-    pub(crate) struct MergeSink;
-
-    impl MergeSink {
-        #[inline(always)]
-        pub(crate) fn new() -> Self {
-            MergeSink
-        }
-
-        #[inline(always)]
-        #[must_use]
-        pub(crate) fn register_worker(&self, _name: &str) -> WorkerGuard {
-            WorkerGuard
-        }
-
-        #[inline(always)]
-        pub(crate) fn collect(&self) {}
-    }
 
     #[inline(always)]
     pub(crate) fn counter_add(_name: &'static str, _delta: u64) {}
@@ -177,4 +138,4 @@ mod noop {
 }
 
 #[cfg(not(feature = "telemetry"))]
-pub(crate) use noop::{counter_add, counter_max, histogram_record, hot_span, span, MergeSink};
+pub(crate) use noop::{counter_add, counter_max, histogram_record, hot_span, span};

@@ -17,10 +17,12 @@
 //!   each point bound through `ia_rank::canon::BoundConfig::with` and
 //!   content-addressed through `ia_rank::canon`, so dse runs, the HTTP
 //!   serve cache, and each other share one address space.
-//! * **[`scheduler`]** — a bounded parallel executor over
-//!   `ia_rank::sweep::PointCache`, telemetry-registered per worker;
-//!   it takes the per-point solve and telemetry names as arguments,
-//!   so `ia-corpus` runs on it too.
+//! * **[`scheduler`]** — the workspace's one bounded point executor
+//!   over `ia_rank::sweep::PointCache`, telemetry-registered per
+//!   worker. It answers cache hits on the calling thread and starts
+//!   workers only for misses; it takes the per-point solve and
+//!   telemetry names as arguments, so `ia-corpus`, serve's `/sweep`
+//!   and `iarank sweep` run on it too.
 //! * **[`store`]** — the resumable on-disk run store:
 //!   `runs/<run_id>/` holds a `manifest.json` plus an append-only
 //!   `results.jsonl`; a killed run resumes without re-solving any

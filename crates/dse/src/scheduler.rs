@@ -1,15 +1,17 @@
-//! The bounded parallel point executor, shared by `ia-dse` and
-//! `ia-corpus`.
+//! The bounded parallel point executor that runs every batch of points:
+//! dse and corpus rounds, `/sweep` requests and `iarank sweep`.
 //!
-//! A fixed set of scoped worker threads drains one shared work queue
-//! (a mutex-guarded deque — deliberately not a channel: the queue is
-//! bounded by construction at the expanded point count, and scoped
-//! threads are joined before `execute` returns, both of which lint
-//! rule L8 enforces for this crate). Each worker checks the
-//! [`PointCache`] first — in a store-backed run that is the resume
-//! path — and only calls the caller's per-point solve on a miss,
-//! within an optional fresh-solve budget. Every worker registers with
-//! an [`ia_obs::MergeSink`] (rule L7), so the caller's [`ExecNames`]
+//! The calling thread looks every point up in the [`PointCache`] first
+//! (in a store-backed run that is the resume path) and answers the hits
+//! itself, so a round whose points all hit starts no thread. At most
+//! `workers` scoped threads, never more than there are misses, then
+//! drain one queue of the misses (a mutex-guarded deque — deliberately
+//! not a channel: the queue is bounded by construction, and scoped
+//! threads are joined before `execute` returns, both of which lint rule
+//! L8 enforces for this crate). A worker looks its point up again, for
+//! points that repeat within a batch, and only solves a miss, within an
+//! optional fresh-solve budget. Every worker registers with an
+//! [`ia_obs::MergeSink`] (rule L7), so the caller's [`ExecNames`]
 //! counters and point spans merge into the caller's snapshot.
 
 use std::collections::VecDeque;
@@ -75,7 +77,7 @@ pub struct ExecNames {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
     /// Worker-thread count (clamped to at least 1 and at most the
-    /// point count).
+    /// number of cache misses).
     pub workers: usize,
     /// Ceiling on **fresh solves** this round; cache hits are free.
     /// When the budget runs out the remaining points are skipped —
@@ -110,11 +112,11 @@ type PointFn<'a, P, T> = &'a (dyn Fn(&P) -> T + Sync);
 struct Round<'a, P, E> {
     names: &'a ExecNames,
     points: &'a [P],
-    key: PointFn<'a, P, u128>,
     solve: PointFn<'a, P, Result<CachedSolve, E>>,
     cache: &'a dyn PointCache,
     opts: &'a ExecOptions<'a>,
-    queue: Mutex<VecDeque<usize>>,
+    /// The cache misses still to run: point index and content address.
+    queue: Mutex<VecDeque<(usize, u128)>>,
     results: Mutex<Vec<Option<CachedSolve>>>,
     solved: AtomicU64,
     cached: AtomicU64,
@@ -144,6 +146,12 @@ impl<P, E> Round<'_, P, E> {
             .is_ok()
     }
 
+    fn hit(&self, index: usize, value: CachedSolve) {
+        self.cached.fetch_add(1, Ordering::SeqCst);
+        counter_add(self.names.cached, 1);
+        self.record(index, value);
+    }
+
     fn record(&self, index: usize, value: CachedSolve) {
         if let Some(slot) = lock(&self.results).get_mut(index) {
             *slot = Some(value);
@@ -164,23 +172,20 @@ fn drain<P, E>(round: &Round<'_, P, E>) {
         if round.halted() {
             return;
         }
-        let Some(index) = lock(&round.queue).pop_front() else {
+        let Some((index, key)) = lock(&round.queue).pop_front() else {
             return;
         };
         let Some(point) = round.points.get(index) else {
             return;
         };
-        let key = (round.key)(point);
         if let Some(hit) = round.cache.lookup(key) {
-            round.cached.fetch_add(1, Ordering::SeqCst);
-            counter_add(round.names.cached, 1);
-            round.record(index, hit);
+            round.hit(index, hit);
             continue;
         }
         if !round.admit() {
             // Budget exhausted: hand the point back for the skip
             // count and retire this worker.
-            lock(&round.queue).push_front(index);
+            lock(&round.queue).push_front((index, key));
             return;
         }
         let outcome = {
@@ -215,9 +220,10 @@ fn drain<P, E>(round: &Round<'_, P, E>) {
     }
 }
 
-/// Executes `points` against `cache` on a bounded worker pool: `key`
-/// is a point's content address, `solve` its cache-miss path, and
-/// `names` the telemetry the round emits.
+/// Executes `points` against `cache`: hits are answered on the calling
+/// thread, misses on at most `opts.workers` worker threads. `key` is a
+/// point's content address, `solve` its cache-miss path, and `names`
+/// the telemetry the round emits.
 ///
 /// # Errors
 ///
@@ -234,11 +240,10 @@ pub fn execute<P: Sync, E: Send + From<DseError>>(
     let round = Round {
         names,
         points,
-        key,
         solve,
         cache,
         opts,
-        queue: Mutex::new((0..points.len()).collect()),
+        queue: Mutex::new(VecDeque::new()),
         results: Mutex::new(vec![None; points.len()]),
         solved: AtomicU64::new(0),
         cached: AtomicU64::new(0),
@@ -246,7 +251,24 @@ pub fn execute<P: Sync, E: Send + From<DseError>>(
         halt: AtomicBool::new(false),
         error: Mutex::new(None),
     };
-    let workers = opts.workers.clamp(1, points.len().max(1));
+    let mut misses = VecDeque::new();
+    for (index, point) in points.iter().enumerate() {
+        let address = key(point);
+        if !round.halted() {
+            if let Some(hit) = cache.lookup(address) {
+                round.hit(index, hit);
+                continue;
+            }
+        }
+        misses.push_back((index, address));
+    }
+    // A round with nothing left to solve, or cancelled, starts no worker.
+    let workers = if misses.is_empty() || round.halted() {
+        0
+    } else {
+        opts.workers.clamp(1, misses.len())
+    };
+    *lock(&round.queue) = misses;
     let sink = MergeSink::new();
     // The correlation context is thread-local; carry the caller's into
     // every worker so per-point records correlate to the run.
@@ -306,9 +328,6 @@ mod tests {
     }
 
     impl PointCache for MapCache {
-        fn key(&self, _x: f64) -> Option<u128> {
-            None
-        }
         fn lookup(&self, key: u128) -> Option<CachedSolve> {
             lock(&self.map).get(&key).copied()
         }
@@ -359,6 +378,55 @@ mod tests {
         assert_eq!(second.solved, 0);
         assert_eq!(second.cached, 4);
         assert_eq!(second.results, first.results);
+    }
+
+    #[test]
+    fn workers_merge_their_solver_telemetry_into_the_caller() {
+        use ia_rank::telemetry::names::{SPAN_DP_EXPAND, SPAN_DP_FRONT_MERGE, SPAN_DP_SOLVE};
+        let points = &points()[..3];
+        ia_obs::set_enabled(true);
+        ia_obs::reset();
+        let opts = ExecOptions {
+            workers: 3,
+            ..ExecOptions::default()
+        };
+        let outcome = run(points, &MapCache::default(), &opts).unwrap();
+        assert_eq!(outcome.solved, 3);
+        // Each worker solves inside its own thread-local collector;
+        // after the merge the solver's phase spans sit under the point
+        // span exactly as one thread would have recorded them.
+        let snap = ia_obs::snapshot();
+        let solve = format!("{}/{SPAN_DP_SOLVE}", names::SPAN_POINT);
+        let expand = format!("{solve}/{SPAN_DP_EXPAND}");
+        let merge = format!("{expand}/{SPAN_DP_FRONT_MERGE}");
+        assert_eq!(snap.spans[&solve].calls, 3, "one dp.solve per point");
+        assert!(snap.spans[&expand].calls >= 3, "an expand span per solve");
+        assert!(snap.spans[&merge].calls > 0, "front merges under expand");
+        assert_eq!(snap.counter(names::POINTS_SOLVED), Some(3));
+    }
+
+    #[test]
+    fn an_all_hit_round_runs_on_the_calling_thread() {
+        let points = points();
+        let cache = MapCache::default();
+        let opts = ExecOptions {
+            workers: 3,
+            ..ExecOptions::default()
+        };
+        let cold = run(&points, &cache, &opts).unwrap();
+        let _ = ia_obs::drain_trace();
+        let warm = run(&points, &cache, &opts).unwrap();
+        assert_eq!((warm.cached, warm.solved), (4, 0));
+        assert_eq!(warm.results, cold.results);
+        // A worker names its trace track when it starts; no track means
+        // no worker was started.
+        let tracks = ia_obs::drain_trace().thread_names;
+        assert!(
+            !tracks
+                .values()
+                .any(|name| name.starts_with(names::WORKER_PREFIX)),
+            "an all-hit round started workers: {tracks:?}"
+        );
     }
 
     #[test]

@@ -189,14 +189,7 @@ impl ExperimentSpec {
                             .to_owned(),
                     );
                 }
-                "base" => {
-                    let fields = value
-                        .as_object()
-                        .ok_or_else(|| bad("`base` must be an object"))?;
-                    for (field, field_value) in fields {
-                        apply_config_field(&mut base, field, field_value)?;
-                    }
-                }
+                "base" => base = config_from_json(value)?,
                 "axes" => {
                     let items = value
                         .as_array()
@@ -414,10 +407,11 @@ pub fn config_to_json(config: &BoundConfig) -> JsonValue {
     JsonValue::Obj(fields)
 }
 
-/// Parses a configuration rendered by [`config_to_json`] — the wire
-/// form the fleet coordinator dispatches points in, so a remote worker
-/// rebuilds the exact `BoundConfig` (and hence the exact content
-/// address) the coordinator holds the lease under.
+/// Parses a spec's `base` table, or a configuration rendered by
+/// [`config_to_json`] — the wire form the fleet coordinator dispatches
+/// points in, so a remote worker rebuilds the exact `BoundConfig` (and
+/// hence the exact content address) the coordinator holds the lease
+/// under.
 ///
 /// # Errors
 ///
@@ -426,77 +420,63 @@ pub fn config_to_json(config: &BoundConfig) -> JsonValue {
 pub fn config_from_json(doc: &JsonValue) -> Result<BoundConfig, DseError> {
     let fields = doc
         .as_object()
-        .ok_or_else(|| bad("config must be an object"))?;
+        .ok_or_else(|| bad("`base` must be an object"))?;
     let mut config = BoundConfig::default();
     for (field, value) in fields {
-        apply_config_field(&mut config, field, value)?;
+        if !apply_config_field(&mut config, field, value).map_err(bad)? {
+            return Err(bad(format!("unknown field `{field}` in `base`")));
+        }
     }
     Ok(config)
 }
 
-/// Applies one `base` field, with the serve API's strict typing.
-pub(crate) fn apply_config_field(
+/// Sets one [`BoundConfig`] field from its JSON value — the one field
+/// table behind dse and corpus `base` tables, the fleet wire and every
+/// `ia-serve` request body. Returns `Ok(false)` when `key` names no
+/// configuration field, so each caller routes its own keys first and
+/// words its own unknown-field error.
+///
+/// # Errors
+///
+/// Returns the message for a wrongly-typed value, such as
+/// ``"`gates` must be a non-negative integer"``.
+pub fn apply_config_field(
     config: &mut BoundConfig,
     key: &str,
     value: &JsonValue,
-) -> Result<(), DseError> {
-    let as_u64 = |v: &JsonValue| -> Option<u64> { v.as_u64() };
+) -> Result<bool, String> {
+    let count = || {
+        value
+            .as_u64()
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+    };
+    let number = || {
+        value
+            .as_f64()
+            .ok_or_else(|| format!("`{key}` must be a number"))
+    };
     match key {
         "node" => {
-            config.node = value
-                .as_str()
-                .ok_or_else(|| bad("`node` must be a string"))?
-                .to_owned();
+            config.node = value.as_str().ok_or("`node` must be a string")?.to_owned();
         }
-        "gates" => {
-            config.gates =
-                as_u64(value).ok_or_else(|| bad("`gates` must be a non-negative integer"))?;
-        }
-        "bunch" => {
-            config.bunch =
-                as_u64(value).ok_or_else(|| bad("`bunch` must be a non-negative integer"))?;
-        }
-        "clock_mhz" => {
-            config.clock_mhz = value
-                .as_f64()
-                .ok_or_else(|| bad("`clock_mhz` must be a number"))?;
-        }
-        "fraction" => {
-            config.fraction = value
-                .as_f64()
-                .ok_or_else(|| bad("`fraction` must be a number"))?;
-        }
-        "miller" => {
-            config.miller = value
-                .as_f64()
-                .ok_or_else(|| bad("`miller` must be a number"))?;
-        }
+        "gates" => config.gates = count()?,
+        "bunch" => config.bunch = count()?,
+        "clock_mhz" => config.clock_mhz = number()?,
+        "fraction" => config.fraction = number()?,
+        "miller" => config.miller = number()?,
         "k" => {
             config.k = match value {
                 JsonValue::Null => None,
-                other => Some(other.as_f64().ok_or_else(|| bad("`k` must be a number"))?),
+                _ => Some(number()?),
             };
         }
-        "global" => {
-            config.global =
-                as_u64(value).ok_or_else(|| bad("`global` must be a non-negative integer"))?;
-        }
-        "semi_global" => {
-            config.semi_global =
-                as_u64(value).ok_or_else(|| bad("`semi_global` must be a non-negative integer"))?;
-        }
-        "local" => {
-            config.local =
-                as_u64(value).ok_or_else(|| bad("`local` must be a non-negative integer"))?;
-        }
-        "degrade" => {
-            config.degrade = value
-                .as_f64()
-                .ok_or_else(|| bad("`degrade` must be a number"))?;
-        }
-        other => return Err(bad(format!("unknown field `{other}` in `base`"))),
+        "global" => config.global = count()?,
+        "semi_global" => config.semi_global = count()?,
+        "local" => config.local = count()?,
+        "degrade" => config.degrade = number()?,
+        _ => return Ok(false),
     }
-    Ok(())
+    Ok(true)
 }
 
 fn parse_axis(doc: &JsonValue) -> Result<AxisSpec, DseError> {

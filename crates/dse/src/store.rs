@@ -207,12 +207,6 @@ impl<'s> StoreCache<'s> {
 }
 
 impl PointCache for StoreCache<'_> {
-    fn key(&self, _x: f64) -> Option<u128> {
-        // The 1-D sweep entry point is unused: dse points carry their
-        // own multi-axis content address.
-        None
-    }
-
     fn lookup(&self, key: u128) -> Option<CachedSolve> {
         lock(&self.completed).get(&key).copied()
     }

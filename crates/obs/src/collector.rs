@@ -18,8 +18,9 @@
 //! — into the sink when dropped), and after joining the workers the
 //! caller calls [`MergeSink::collect`] to fold everything into its own
 //! thread-local storage. From then on the ordinary [`snapshot`] and
-//! [`crate::drain_trace`] see the workers' data. `sweep_parallel` in
-//! `ia-rank` does exactly this.
+//! [`crate::drain_trace`] see the workers' data. The point executor
+//! in `ia-dse` (`ia_dse::scheduler::execute`), which runs every
+//! parallel sweep and dse or corpus round, does exactly this.
 //!
 //! When the flag is off (the default) every recording call is a
 //! relaxed atomic load and a branch — cheap enough to leave in release

@@ -8,12 +8,13 @@
 //! `reject_unknown`), which also keeps the canonical cache key honest —
 //! a typoed knob cannot silently alias a differently-bound request.
 
+use ia_dse::scheduler::{ExecNames, ExecOutcome};
+use ia_dse::spec::apply_config_field;
 use ia_obs::json::JsonValue;
 use ia_rank::canon::BoundConfig;
 use ia_rank::sensitivity::{Elasticity, KnobSensitivity};
 use ia_rank::sweep::{Axis, CachedSolve, SweepPoint};
 use ia_report::Table;
-use serde::{Deserialize, Serialize};
 
 /// A malformed request body: carries the message returned to the
 /// client with status 400.
@@ -32,65 +33,32 @@ fn bad(msg: impl Into<String>) -> ApiError {
     ApiError(msg.into())
 }
 
-/// The fully-bound inputs of one rank computation — `POST /solve`'s
-/// body, and the base configuration of `/sweep` and `/sensitivity`.
-/// Every field has the CLI's default, so `{}` is a valid body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SolveRequest {
-    /// Technology node preset: `90`, `130` or `180` (a `tsmc` prefix
-    /// is accepted and normalized away).
-    pub node: String,
-    /// Design gate count (sizes the Davis WLD and the die).
-    pub gates: u64,
-    /// Coarsening bunch size.
-    pub bunch: u64,
-    /// Target clock frequency in MHz.
-    pub clock_mhz: f64,
-    /// Repeater area fraction `R`.
-    pub fraction: f64,
-    /// Miller coupling factor `M`.
-    pub miller: f64,
-    /// ILD permittivity `K` override (`null`/absent = node default).
-    pub k: Option<f64>,
-    /// Global layer-pair count.
-    pub global: u64,
-    /// Semi-global layer-pair count.
-    pub semi_global: u64,
-    /// Local layer-pair count.
-    pub local: u64,
-    /// Placement-suboptimality factor `γ ≥ 1` (`1.0` = pristine WLD).
-    pub degrade: f64,
+/// A request body's fields, or 400 for a non-object body.
+fn fields(doc: &JsonValue) -> Result<&[(String, JsonValue)], ApiError> {
+    doc.as_object()
+        .ok_or_else(|| bad("request body must be a JSON object"))
 }
 
-impl Default for SolveRequest {
-    fn default() -> Self {
-        SolveRequest {
-            node: "130".to_owned(),
-            gates: 1_000_000,
-            bunch: 10_000,
-            clock_mhz: 500.0,
-            fraction: 0.4,
-            miller: 2.0,
-            k: None,
-            global: 1,
-            semi_global: 2,
-            local: 0,
-            degrade: 1.0,
-        }
+/// Sets one configuration field through `ia-dse`'s field table, the
+/// one the dse and corpus specs use too.
+fn base_field(config: &mut BoundConfig, key: &str, value: &JsonValue) -> Result<(), ApiError> {
+    if apply_config_field(config, key, value).map_err(ApiError)? {
+        Ok(())
+    } else {
+        Err(bad(format!("unknown field `{key}`")))
     }
 }
 
-fn field_u64(key: &str, value: &JsonValue) -> Result<u64, ApiError> {
-    value
-        .as_u64()
-        .ok_or_else(|| bad(format!("`{key}` must be a non-negative integer")))
-}
-
-fn field_f64(key: &str, value: &JsonValue) -> Result<f64, ApiError> {
+fn number(key: &str, value: &JsonValue) -> Result<f64, ApiError> {
     value
         .as_f64()
         .ok_or_else(|| bad(format!("`{key}` must be a number")))
 }
+
+/// `POST /solve`'s body: one fully-bound configuration. Every field
+/// has the CLI's default, so `{}` is a valid body.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolveRequest(pub BoundConfig);
 
 impl SolveRequest {
     /// Parses a `POST /solve` body. Field order is free; unknown
@@ -101,98 +69,49 @@ impl SolveRequest {
     /// Returns [`ApiError`] for non-object bodies, wrongly-typed
     /// fields, or unknown fields.
     pub fn from_json(doc: &JsonValue) -> Result<Self, ApiError> {
-        let pairs = doc
-            .as_object()
-            .ok_or_else(|| bad("request body must be a JSON object"))?;
-        let mut request = SolveRequest::default();
-        for (key, value) in pairs {
-            request.apply_field(key, value)?;
+        let mut config = BoundConfig::default();
+        for (key, value) in fields(doc)? {
+            base_field(&mut config, key, value)?;
         }
-        Ok(request)
+        Ok(SolveRequest(config))
     }
 
-    /// Applies one body field, so `/sweep` and `/sensitivity` can
-    /// route their non-base fields first and delegate the rest here.
-    pub(crate) fn apply_field(&mut self, key: &str, value: &JsonValue) -> Result<(), ApiError> {
-        match key {
-            "node" => {
-                self.node = value
-                    .as_str()
-                    .ok_or_else(|| bad("`node` must be a string"))?
-                    .to_owned();
-            }
-            "gates" => self.gates = field_u64(key, value)?,
-            "bunch" => self.bunch = field_u64(key, value)?,
-            "clock_mhz" => self.clock_mhz = field_f64(key, value)?,
-            "fraction" => self.fraction = field_f64(key, value)?,
-            "miller" => self.miller = field_f64(key, value)?,
-            "k" => {
-                self.k = match value {
-                    JsonValue::Null => None,
-                    other => Some(field_f64(key, other)?),
-                };
-            }
-            "global" => self.global = field_u64(key, value)?,
-            "semi_global" => self.semi_global = field_u64(key, value)?,
-            "local" => self.local = field_u64(key, value)?,
-            "degrade" => self.degrade = field_f64(key, value)?,
-            other => return Err(bad(format!("unknown field `{other}`"))),
-        }
-        Ok(())
-    }
-
-    /// Lowers the request to the shared canonical configuration —
-    /// the single bridge between the HTTP surface and the content
-    /// addressing / binding layer in `ia_rank::canon`.
+    /// The request's configuration, the unit of content addressing.
     #[must_use]
     pub fn to_config(&self) -> BoundConfig {
-        BoundConfig {
-            node: self.node.clone(),
-            gates: self.gates,
-            bunch: self.bunch,
-            clock_mhz: self.clock_mhz,
-            fraction: self.fraction,
-            miller: self.miller,
-            k: self.k,
-            global: self.global,
-            semi_global: self.semi_global,
-            local: self.local,
-            degrade: self.degrade,
-        }
+        self.0.clone()
     }
 }
 
 /// `POST /sweep`'s body: a base configuration plus the axis to sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// The base configuration every point starts from.
-    pub base: SolveRequest,
+    pub base: BoundConfig,
     /// Which knob to sweep.
     pub axis: Axis,
     /// Swept values (`None` = the paper's Table 4 grid for the axis;
     /// axis `c` values are in hertz).
     pub values: Option<Vec<f64>>,
-    /// Whether to run one worker thread per value.
+    /// Whether to solve up to the server's worker count of points at
+    /// once instead of one at a time.
     pub parallel: bool,
 }
 
 impl SweepRequest {
     /// Parses a `POST /sweep` body: `axis`, optional `values` and
-    /// `parallel`, and any [`SolveRequest`] base fields, all flat in
-    /// one object.
+    /// `parallel`, and any configuration fields, all flat in one
+    /// object.
     ///
     /// # Errors
     ///
     /// Returns [`ApiError`] for malformed fields or a missing `axis`.
     pub fn from_json(doc: &JsonValue) -> Result<Self, ApiError> {
-        let pairs = doc
-            .as_object()
-            .ok_or_else(|| bad("request body must be a JSON object"))?;
-        let mut base = SolveRequest::default();
+        let mut base = BoundConfig::default();
         let mut axis = None;
         let mut values = None;
         let mut parallel = false;
-        for (key, value) in pairs {
+        for (key, value) in fields(doc)? {
             match key.as_str() {
                 "axis" => {
                     let text = value
@@ -204,9 +123,8 @@ impl SweepRequest {
                     let items = value
                         .as_array()
                         .ok_or_else(|| bad("`values` must be an array of numbers"))?;
-                    let parsed: Result<Vec<f64>, ApiError> =
-                        items.iter().map(|v| field_f64("values", v)).collect();
-                    values = Some(parsed?);
+                    let parsed = items.iter().map(|v| number("values", v));
+                    values = Some(parsed.collect::<Result<_, _>>()?);
                 }
                 "parallel" => {
                     parallel = match value {
@@ -214,7 +132,7 @@ impl SweepRequest {
                         _ => return Err(bad("`parallel` must be a boolean")),
                     };
                 }
-                other => base.apply_field(other, value)?,
+                other => base_field(&mut base, other, value)?,
             }
         }
         let axis = axis.ok_or_else(|| bad("missing required field `axis`"))?;
@@ -229,32 +147,29 @@ impl SweepRequest {
 
 /// `POST /sensitivity`'s body: a base configuration plus the relative
 /// finite-difference step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityRequest {
     /// The operating-point configuration.
-    pub base: SolveRequest,
+    pub base: BoundConfig,
     /// Relative step of the symmetric finite difference (0.1 = ±10 %).
     pub step: f64,
 }
 
 impl SensitivityRequest {
     /// Parses a `POST /sensitivity` body: an optional `step` plus any
-    /// [`SolveRequest`] base fields, flat in one object.
+    /// configuration fields, flat in one object.
     ///
     /// # Errors
     ///
     /// Returns [`ApiError`] for malformed fields or a non-positive
     /// step.
     pub fn from_json(doc: &JsonValue) -> Result<Self, ApiError> {
-        let pairs = doc
-            .as_object()
-            .ok_or_else(|| bad("request body must be a JSON object"))?;
-        let mut base = SolveRequest::default();
+        let mut base = BoundConfig::default();
         let mut step = 0.1;
-        for (key, value) in pairs {
+        for (key, value) in fields(doc)? {
             match key.as_str() {
-                "step" => step = field_f64("step", value)?,
-                other => base.apply_field(other, value)?,
+                "step" => step = number("step", value)?,
+                other => base_field(&mut base, other, value)?,
             }
         }
         if !(step > 0.0 && step < 1.0) {
@@ -288,6 +203,29 @@ pub fn solve_response(solve: &CachedSolve, cache: &str) -> JsonValue {
         ("die_area_m2".to_owned(), JsonValue::Num(solve.die_area_m2)),
         ("cache".to_owned(), JsonValue::Str(cache.to_owned())),
     ])
+}
+
+/// The executor telemetry of a sweep, shared by `POST /sweep` and
+/// `iarank sweep`. `solved` and `cached` keep the `sweep.cache.*`
+/// names `/metrics` and its derived `sweep.cache.hit_rate` report.
+pub const SWEEP_EXEC: ExecNames = ExecNames {
+    solved: "sweep.cache.misses",
+    cached: "sweep.cache.hits",
+    skipped: "sweep.points.skipped",
+    point: "sweep.point",
+    worker_prefix: "sweep.worker.",
+};
+
+/// The points of a sweep batch run on the executor: each swept value
+/// with its solve, in input order (points the round skipped are left
+/// out).
+#[must_use]
+pub fn sweep_points(values: &[f64], outcome: &ExecOutcome) -> Vec<SweepPoint> {
+    values
+        .iter()
+        .zip(&outcome.results)
+        .filter_map(|(&x, solve)| solve.map(|solve| solve.point(x)))
+        .collect()
 }
 
 /// Renders the `/sweep` response body.
@@ -366,14 +304,14 @@ mod tests {
     #[test]
     fn solve_request_parses_with_defaults_and_overrides() {
         let doc = JsonValue::parse(r#"{"gates":30000,"bunch":3000,"k":2.7}"#).unwrap();
-        let req = SolveRequest::from_json(&doc).unwrap();
-        assert_eq!(req.gates, 30_000);
-        assert_eq!(req.bunch, 3_000);
-        assert_eq!(req.k, Some(2.7));
-        assert_eq!(req.node, "130");
+        let SolveRequest(config) = SolveRequest::from_json(&doc).unwrap();
+        assert_eq!(config.gates, 30_000);
+        assert_eq!(config.bunch, 3_000);
+        assert_eq!(config.k, Some(2.7));
+        assert_eq!(config.node, "130");
         assert_eq!(
             SolveRequest::from_json(&JsonValue::Obj(vec![])).unwrap(),
-            SolveRequest::default()
+            SolveRequest(BoundConfig::default())
         );
     }
 
@@ -385,7 +323,10 @@ mod tests {
             .0
             .contains("gaets"));
         let doc = JsonValue::parse(r#"{"gates":"many"}"#).unwrap();
-        assert!(SolveRequest::from_json(&doc).is_err());
+        assert_eq!(
+            SolveRequest::from_json(&doc).unwrap_err().0,
+            "`gates` must be a non-negative integer"
+        );
         let doc = JsonValue::parse("[1,2]").unwrap();
         assert!(SolveRequest::from_json(&doc).is_err());
     }

@@ -671,11 +671,12 @@ mod tests {
         let lease = doc.get("lease").unwrap().as_u64().unwrap();
         let key = doc.get("key").unwrap().as_str().unwrap().to_owned();
         assert_eq!(key, format!("{:032x}", 0xabc_u128));
-        let solve = crate::server::solve(&crate::api::SolveRequest {
+        let solve = ia_rank::canon::BoundConfig {
             gates: 20_000,
             bunch: 2_000,
-            ..crate::api::SolveRequest::default()
-        })
+            ..ia_rank::canon::BoundConfig::default()
+        }
+        .solve()
         .unwrap();
         let result = JsonValue::Obj(vec![
             ("worker".to_owned(), JsonValue::Str("w1".to_owned())),

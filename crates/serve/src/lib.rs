@@ -8,7 +8,8 @@
 //! The server (see [`Server`]) exposes:
 //!
 //! * `POST /solve` — rank one fully-bound configuration;
-//! * `POST /sweep` — Table 4 knob sweeps (serial or parallel);
+//! * `POST /sweep` — Table 4 knob sweeps, run on `ia-dse`'s bounded
+//!   point executor with up to `--workers` solves at once;
 //! * `POST /sensitivity` — knob elasticities at an operating point;
 //! * `GET /healthz` — liveness plus queue/cache occupancy;
 //! * `GET /metrics` — the merged `ia-obs` telemetry snapshot;
@@ -23,8 +24,9 @@
 //! dse and corpus run stores use), with single-flight deduplication
 //! so a burst of
 //! identical requests performs exactly one dynamic-programming solve.
-//! The same cache backs sweep points through `ia-rank`'s `PointCache`
-//! hook, so `/solve` and `/sweep` warm each other.
+//! The same cache backs `/sweep` points and `POST /dse` jobs through
+//! `ia-rank`'s `PointCache` trait, so `/solve`, `/sweep` and dse runs
+//! warm each other.
 //!
 //! Everything is plain `std`: `TcpListener`, a fixed worker pool, a
 //! bounded accept queue shedding load with `429`, and per-request

@@ -33,7 +33,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ia_dse::{ExperimentSpec, RunOptions, RunOutcome};
+use ia_dse::scheduler::{execute, ExecOptions};
+use ia_dse::{DseError, ExperimentSpec, RunOptions, RunOutcome};
 use ia_obs::json::JsonValue;
 use ia_obs::log::{self as obs_log, LogLevel, RateLimit};
 use ia_obs::prometheus::PromWriter;
@@ -41,13 +42,13 @@ use ia_obs::{
     counter_add, counter_max, histogram_record, FlightRecorder, MergeSink, Profile, Snapshot,
     SpanStat, Stopwatch,
 };
-use ia_rank::canon::{BoundConfig, BoundProblem};
+use ia_rank::canon::BoundConfig;
 use ia_rank::sensitivity::{sensitivities, OperatingPoint};
-use ia_rank::sweep::{self, Axis, CachedSolve, PointCache};
+use ia_rank::sweep::{CachedSolve, PointCache};
 
 use crate::api::{
-    sensitivity_response, solve_response, sweep_response, SensitivityRequest, SolveRequest,
-    SweepRequest,
+    sensitivity_response, solve_response, sweep_points, sweep_response, SensitivityRequest,
+    SolveRequest, SweepRequest, SWEEP_EXEC,
 };
 use crate::cache::{CacheOutcome, SolveCache};
 use crate::fleet::{FleetDispatcher, FleetState};
@@ -978,15 +979,15 @@ fn solve_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
         Ok(doc) => doc,
         Err(err) => return err,
     };
-    let request = match SolveRequest::from_json(&doc) {
-        Ok(request) => request,
+    let config = match SolveRequest::from_json(&doc) {
+        Ok(SolveRequest(config)) => config,
         Err(e) => return (400, error_body(&e.0)),
     };
     if over_deadline(shared, started) {
         return (503, error_body("deadline exceeded before solve"));
     }
-    let key = request.to_config().cache_key();
-    match shared.cache.get_or_compute(key, || solve(&request)) {
+    let solve = || config.solve().map_err(|e| e.to_string());
+    match shared.cache.get_or_compute(config.cache_key(), solve) {
         Ok((value, outcome, evicted)) => {
             counter_add(outcome_counter(outcome), 1);
             if evicted > 0 {
@@ -1009,42 +1010,21 @@ fn outcome_counter(outcome: CacheOutcome) -> &'static str {
     }
 }
 
-/// [`PointCache`] adapter: sweep points read and write the server's
-/// solve cache under the same content addresses `/solve` uses, so a
-/// sweep warms the point solves and vice versa.
-struct ServeSweepCache<'s> {
-    cache: &'s SolveCache<CachedSolve>,
-    base: BoundConfig,
-    axis: Axis,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// Why a `/sweep` round stopped short: the reply's status and message.
+struct SweepStop(u16, String);
 
-impl PointCache for ServeSweepCache<'_> {
-    fn key(&self, x: f64) -> Option<u128> {
-        let (knob, value) = (self.axis.knob(), self.axis.to_knob(x));
-        let config = self.base.clone().with(knob, value).ok()?;
-        Some(config.cache_key())
-    }
-
-    fn lookup(&self, key: u128) -> Option<CachedSolve> {
-        let value = self.cache.lookup(key);
-        if value.is_some() {
-            self.hits.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-        }
-        value
-    }
-
-    fn store(&self, key: u128, value: CachedSolve) {
-        let evicted = self.cache.insert(key, value);
-        if evicted > 0 {
-            counter_add("serve.cache.evictions", evicted);
-        }
+impl From<DseError> for SweepStop {
+    fn from(e: DseError) -> Self {
+        SweepStop(500, e.to_string())
     }
 }
 
+/// `POST /sweep`: one configuration per swept value, run as a batch on
+/// the dse point executor against the server's solve cache. Hits are
+/// answered on this thread; misses run on up to `--workers` threads
+/// when `parallel` is set, else one. Every fresh solve first checks
+/// the deadline and the stop flag, so a late request stops between
+/// points instead of running its whole batch.
 fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, String) {
     let doc = match parse_body(body) {
         Ok(doc) => doc,
@@ -1057,44 +1037,60 @@ fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
     if over_deadline(shared, started) {
         return (503, error_body("deadline exceeded before sweep"));
     }
-    let bound = match bind_problem(&request.base) {
-        Ok(bound) => bound,
-        Err(message) => return (400, error_body(&message)),
-    };
+    // A base that cannot bind is a 400 even when `values` is empty.
+    if let Err(e) = request
+        .base
+        .bind()
+        .and_then(|bound| bound.builder().map(drop))
+    {
+        return (400, error_body(&e.to_string()));
+    }
+    let axis = request.axis;
     let values = request
         .values
-        .clone()
-        .unwrap_or_else(|| request.axis.paper_values().to_vec());
-    let axis = request.axis;
-    let adapter = ServeSweepCache {
-        cache: &shared.cache,
-        base: bound.config.clone(),
-        axis,
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    };
-    let builder = match bound.builder() {
-        Ok(builder) => builder,
+        .unwrap_or_else(|| axis.paper_values().to_vec());
+    let configs: Result<Vec<BoundConfig>, _> = values
+        .iter()
+        .map(|&x| request.base.clone().with(axis.knob(), axis.to_knob(x)))
+        .collect();
+    let configs = match configs {
+        Ok(configs) => configs,
         Err(e) => return (400, error_body(&e.to_string())),
     };
-    let points = if request.parallel {
-        sweep::sweep_parallel_cached(&builder, &values, |b, x| axis.apply(b, x), &adapter)
-    } else {
-        sweep::sweep_cached(&builder, &values, |b, x| axis.apply(b, x), &adapter)
+    let solve = |config: &BoundConfig| {
+        if over_deadline(shared, started) || shared.stop.load(Ordering::SeqCst) {
+            return Err(SweepStop(503, "deadline exceeded during sweep".to_owned()));
+        }
+        config.solve().map_err(|e| SweepStop(400, e.to_string()))
     };
-    let points = match points {
-        Ok(points) => points,
-        Err(e) => return (400, error_body(&format!("{e}"))),
+    let opts = ExecOptions {
+        workers: if request.parallel {
+            shared.cfg.workers
+        } else {
+            1
+        },
+        ..ExecOptions::default()
+    };
+    let cache = ServeDseCache {
+        cache: &shared.cache,
+    };
+    let outcome = match execute(
+        &SWEEP_EXEC,
+        &configs,
+        &BoundConfig::cache_key,
+        &solve,
+        &cache,
+        &opts,
+    ) {
+        Ok(outcome) => outcome,
+        Err(SweepStop(status, message)) => return (status, error_body(&message)),
     };
     if over_deadline(shared, started) {
         return (503, error_body("deadline exceeded during sweep"));
     }
-    let hits = adapter.hits.load(Ordering::SeqCst);
-    let misses = adapter.misses.load(Ordering::SeqCst);
-    (
-        200,
-        sweep_response(request.axis, &points, hits, misses).render(),
-    )
+    let points = sweep_points(&values, &outcome);
+    let body = sweep_response(axis, &points, outcome.cached, outcome.solved);
+    (200, body.render())
 }
 
 fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, String) {
@@ -1109,9 +1105,9 @@ fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u
     if over_deadline(shared, started) {
         return (503, error_body("deadline exceeded before sensitivity"));
     }
-    let bound = match bind_problem(&request.base) {
+    let bound = match request.base.bind() {
         Ok(bound) => bound,
-        Err(message) => return (400, error_body(&message)),
+        Err(e) => return (400, error_body(&e.to_string())),
     };
     let builder = match bound.builder() {
         Ok(builder) => builder,
@@ -1129,20 +1125,14 @@ fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u
     }
 }
 
-/// [`PointCache`] adapter for dse jobs: exploration points read and
-/// write the server's solve cache under the same content addresses
-/// `/solve` and `/sweep` use, so a dse run warms the service and vice
-/// versa.
+/// [`PointCache`] adapter for `/sweep` and dse jobs: their points read
+/// and write the server's solve cache under the same content addresses
+/// `/solve` uses, so each warms the others.
 struct ServeDseCache<'s> {
     cache: &'s SolveCache<CachedSolve>,
 }
 
 impl PointCache for ServeDseCache<'_> {
-    fn key(&self, _x: f64) -> Option<u128> {
-        // dse points carry their own canonical addresses.
-        None
-    }
-
     fn lookup(&self, key: u128) -> Option<CachedSolve> {
         self.cache.lookup(key)
     }
@@ -1341,49 +1331,9 @@ fn dse_status_endpoint(shared: &Shared, id_text: &str) -> (u16, String) {
     (200, JsonValue::Obj(fields).render())
 }
 
-/// Binds a request's tech node and architecture through the shared
-/// `ia_rank::canon` layer, mapping [`ia_rank::canon::BindError`] to
-/// the 400-body message string.
-fn bind_problem(request: &SolveRequest) -> Result<BoundProblem, String> {
-    request.to_config().bind().map_err(|e| e.to_string())
-}
-
-/// Solves one fully-bound request from scratch — the cache-miss path
-/// of `POST /solve`.
-pub(crate) fn solve(request: &SolveRequest) -> Result<CachedSolve, String> {
-    request.to_config().solve().map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small_request() -> SolveRequest {
-        SolveRequest {
-            gates: 20_000,
-            bunch: 2_000,
-            ..SolveRequest::default()
-        }
-    }
-
-    #[test]
-    fn solve_produces_a_consistent_summary() {
-        let request = small_request();
-        let summary = solve(&request).unwrap();
-        assert!(summary.rank > 0);
-        assert!(summary.rank <= summary.total_wires);
-        assert!(summary.normalized > 0.0 && summary.normalized <= 1.0);
-        // Deterministic: same request, same summary.
-        assert_eq!(solve(&request).unwrap(), summary);
-    }
-
-    #[test]
-    fn solve_rejects_unknown_node() {
-        let mut request = small_request();
-        request.node = "65".to_owned();
-        let message = solve(&request).unwrap_err();
-        assert!(message.contains("unknown node"));
-    }
 
     #[test]
     fn status_and_latency_names_are_total() {

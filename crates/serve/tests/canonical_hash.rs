@@ -6,17 +6,16 @@
 use std::collections::HashSet;
 
 use ia_obs::json::JsonValue;
+use ia_rank::canon::BoundConfig;
 use ia_rank::sweep::Axis;
 use ia_serve::SolveRequest;
 use proptest::prelude::*;
 
-/// The solve cache's key for a request.
-fn cache_key(request: &SolveRequest) -> u128 {
-    request.to_config().cache_key()
-}
-
-fn canonical_string(request: &SolveRequest) -> String {
-    request.to_config().canonical_string()
+/// Parses a `/solve` body into the configuration it binds.
+fn parse(body: &str) -> BoundConfig {
+    SolveRequest::from_json(&JsonValue::parse(body).expect("valid json"))
+        .expect("parses")
+        .0
 }
 
 fn grid(axis: Axis) -> &'static [f64] {
@@ -27,23 +26,19 @@ fn grid(axis: Axis) -> &'static [f64] {
 fn same_inputs_twice_produce_the_same_key() {
     let body = r#"{"node":"90","gates":400000,"bunch":5000,"clock_mhz":900.0,
                    "fraction":0.3,"miller":1.5,"k":2.7,"global":2,"semi_global":1,"local":1}"#;
-    let a = SolveRequest::from_json(&JsonValue::parse(body).expect("valid json")).expect("parses");
-    let b = SolveRequest::from_json(&JsonValue::parse(body).expect("valid json")).expect("parses");
-    assert_eq!(cache_key(&a), cache_key(&b));
-    assert_eq!(canonical_string(&a), canonical_string(&b));
+    let (a, b) = (parse(body), parse(body));
+    assert_eq!(a.cache_key(), b.cache_key());
+    assert_eq!(a.canonical_string(), b.canonical_string());
 }
 
 #[test]
 fn json_field_reordering_does_not_change_the_key() {
     let forward = r#"{"gates":400000,"k":2.7,"miller":1.5,"node":"tsmc90"}"#;
     let backward = r#"{"node":"90","miller":1.5,"k":2.7,"gates":400000}"#;
-    let a =
-        SolveRequest::from_json(&JsonValue::parse(forward).expect("valid json")).expect("parses");
-    let b =
-        SolveRequest::from_json(&JsonValue::parse(backward).expect("valid json")).expect("parses");
+    let (a, b) = (parse(forward), parse(backward));
     assert_eq!(
-        cache_key(&a),
-        cache_key(&b),
+        a.cache_key(),
+        b.cache_key(),
         "field order and tsmc-prefix spelling must not split the cache"
     );
 }
@@ -57,15 +52,15 @@ fn every_table4_grid_point_has_a_distinct_key() {
         for &m in grid(Axis::M) {
             for &c in grid(Axis::C) {
                 for &r in grid(Axis::R) {
-                    let request = SolveRequest {
+                    let request = BoundConfig {
                         k: Some(k),
                         miller: m,
                         clock_mhz: c / 1.0e6,
                         fraction: r,
-                        ..SolveRequest::default()
+                        ..BoundConfig::default()
                     };
                     assert!(
-                        seen.insert(cache_key(&request)),
+                        seen.insert(request.cache_key()),
                         "key collision at K={k} M={m} C={c} R={r}"
                     );
                 }
@@ -99,25 +94,22 @@ proptest! {
             r#"{{"fraction":{r},"clock_mhz":{},"miller":{m},"k":{k},"gates":{gates}}}"#,
             c / 1.0e6,
         );
-        let a = SolveRequest::from_json(&JsonValue::parse(&forward).expect("valid json"))
-            .expect("parses");
-        let b = SolveRequest::from_json(&JsonValue::parse(&backward).expect("valid json"))
-            .expect("parses");
-        prop_assert_eq!(cache_key(&a), cache_key(&b));
+        let (a, b) = (parse(&forward), parse(&backward));
+        prop_assert_eq!(a.cache_key(), b.cache_key());
 
         // Any single-knob move to a different grid value changes the key.
         let mut other_k = a.clone();
         other_k.k = Some(grid(Axis::K)[(ki + 1) % 22]);
-        prop_assert_ne!(cache_key(&other_k), cache_key(&a));
+        prop_assert_ne!(other_k.cache_key(), a.cache_key());
         let mut other_m = a.clone();
         other_m.miller = grid(Axis::M)[(mi + 1) % 21];
-        prop_assert_ne!(cache_key(&other_m), cache_key(&a));
+        prop_assert_ne!(other_m.cache_key(), a.cache_key());
         let mut other_c = a.clone();
         other_c.clock_mhz = grid(Axis::C)[(ci + 1) % 13] / 1.0e6;
-        prop_assert_ne!(cache_key(&other_c), cache_key(&a));
+        prop_assert_ne!(other_c.cache_key(), a.cache_key());
         let mut other_r = a.clone();
         other_r.fraction = grid(Axis::R)[(ri + 1) % 5];
-        prop_assert_ne!(cache_key(&other_r), cache_key(&a));
+        prop_assert_ne!(other_r.cache_key(), a.cache_key());
     }
 
     /// Non-knob inputs are part of the address too: gates, bunch and
@@ -128,22 +120,22 @@ proptest! {
         bunch in 1u64..100_000,
         pairs in 0u64..4,
     ) {
-        let base = SolveRequest {
+        let base = BoundConfig {
             gates,
             bunch,
             global: pairs,
-            ..SolveRequest::default()
+            ..BoundConfig::default()
         };
-        let key = cache_key(&base);
+        let key = base.cache_key();
 
         let mut more_gates = base.clone();
         more_gates.gates = gates + 1;
-        prop_assert_ne!(cache_key(&more_gates), key);
+        prop_assert_ne!(more_gates.cache_key(), key);
         let mut more_bunch = base.clone();
         more_bunch.bunch = bunch + 1;
-        prop_assert_ne!(cache_key(&more_bunch), key);
+        prop_assert_ne!(more_bunch.cache_key(), key);
         let mut more_pairs = base.clone();
         more_pairs.global = pairs + 1;
-        prop_assert_ne!(cache_key(&more_pairs), key);
+        prop_assert_ne!(more_pairs.cache_key(), key);
     }
 }

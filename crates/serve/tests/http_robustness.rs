@@ -303,3 +303,53 @@ fn sweep_and_sensitivity_endpoints_round_trip() {
     server.shutdown();
     let _ = server.join();
 }
+
+/// Polls `/metrics` until counter `name` reaches `at_least`.
+fn await_counter(addr: SocketAddr, name: &str, at_least: u64) -> u64 {
+    for _ in 0..200 {
+        let value = counter(&get(addr, "/metrics").1, name);
+        if value >= at_least {
+            return value;
+        }
+        thread::sleep(Duration::from_millis(25));
+    }
+    panic!("`{name}` never reached {at_least} on /metrics");
+}
+
+#[test]
+fn serial_and_parallel_sweeps_match_the_library_sweep() {
+    use ia_rank::canon::BoundConfig;
+    use ia_rank::sweep::{sweep_axis, Axis};
+    use ia_serve::api::sweep_response;
+    let config = BoundConfig {
+        gates: 20_000,
+        bunch: 2_000,
+        ..BoundConfig::default()
+    };
+    let bound = config.bind().expect("binds");
+    let library = sweep_axis(
+        &bound.builder().expect("builds"),
+        Axis::K,
+        Axis::K.paper_values(),
+    )
+    .expect("sweeps");
+    for parallel in [false, true] {
+        // A fresh server each answers the K grid cold, then the same
+        // sweep again wholly from its solve cache.
+        let server = start(2, 30_000);
+        let addr = server.local_addr();
+        let body = format!(r#"{{"axis":"k","gates":20000,"bunch":2000,"parallel":{parallel}}}"#);
+        for (hits, misses) in [(0, 22), (22, 0)] {
+            let expected = sweep_response(Axis::K, &library, hits, misses).render();
+            assert_eq!(
+                post(addr, "/sweep", &body),
+                (200, expected),
+                "parallel {parallel}"
+            );
+        }
+        assert_eq!(await_counter(addr, "sweep.cache.misses", 22), 22);
+        assert_eq!(await_counter(addr, "sweep.cache.hits", 22), 22);
+        server.shutdown();
+        let _ = server.join();
+    }
+}

@@ -423,8 +423,7 @@ const BLOCKING_METHODS: &[&str] = &[
     "create",
     "solve",
     "explore",
-    "sweep_cached",
-    "sweep_parallel_cached",
+    "execute",
     "sensitivities",
 ];
 

@@ -20,11 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Candidate dielectrics the fab could qualify.
     let k_options = [3.9, 3.6, 3.0, 2.7, 2.4]; // SiO2, FSG, SiCOH-class…
-    let k_points = sweep::sweep_permittivity(&builder, &k_options)?;
+    let k_points = sweep::sweep_axis(&builder, sweep::Axis::K, &k_options)?;
 
     // Shielding options: Miller factor from worst-case 2.0 down to 1.0.
     let m_options = [2.0, 1.75, 1.5, 1.25, 1.0];
-    let m_points = sweep::sweep_miller(&builder, &m_options)?;
+    let m_points = sweep::sweep_axis(&builder, sweep::Axis::M, &m_options)?;
 
     println!("Low-k adoption vs shielding, 400k gates @ 130 nm\n");
     println!("dielectric option  ->  normalized rank");

@@ -1,12 +1,12 @@
 //! Integration tests for the extension modules built on the core
 //! metric: frontier diagnosis, utilization reporting, stack
-//! optimization, sensitivity analysis, and parallel sweeps — all run
-//! against real physical problems.
+//! optimization and sensitivity analysis — all run against real
+//! physical problems.
 
 use interconnect_rank::prelude::*;
 use interconnect_rank::rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
 use interconnect_rank::rank::sensitivity::{sensitivities, OperatingPoint};
-use interconnect_rank::rank::{explain, sweep, utilization};
+use interconnect_rank::rank::{explain, utilization};
 
 const GATES: u64 = 60_000;
 
@@ -118,18 +118,4 @@ fn sensitivity_report_covers_all_knobs_consistently() {
         assert_eq!(s.baseline_normalized, baseline);
         assert!(s.elasticity.value().is_some_and(f64::is_finite));
     }
-}
-
-#[test]
-fn parallel_and_serial_sweeps_agree_on_physics() {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let builder = rank::RankProblem::builder(&node, &architecture)
-        .wld_spec(wld::WldSpec::new(GATES).expect("valid"))
-        .bunch_size(4_000);
-    let values = [2.0, 1.6, 1.2];
-    let serial = sweep::sweep_miller(&builder, &values).expect("serial sweep");
-    let parallel = sweep::sweep_parallel(&builder, &values, |b, m| b.miller_factor(m))
-        .expect("parallel sweep");
-    assert_eq!(serial, parallel);
 }
