@@ -9,8 +9,19 @@ use std::fmt;
 
 /// Boolean switches: a bare `--flag` means `true`, and the next token
 /// is the switch's value only when it is `true`, `false`, `1` or `0`
-/// (stored as `true` or `false`).
+/// (stored as `true` or `false`). An inline `--flag=value` must be one
+/// of those four.
 pub const SWITCHES: [&str; 4] = ["profile", "parallel", "fleet", "csv"];
+
+/// A switch value as stored: `true`/`1` → `true`, `false`/`0` →
+/// `false`, anything else `None`.
+fn switch_value(raw: &str) -> Option<&'static str> {
+    match raw {
+        "true" | "1" => Some("true"),
+        "false" | "0" => Some("false"),
+        _ => None,
+    }
+}
 
 /// Parsed command line: a command, an optional sub-action, plus
 /// `--flag value` options.
@@ -84,7 +95,8 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgsError`] for stray positionals or valueless flags.
+    /// Returns [`ArgsError`] for stray positionals, valueless flags or
+    /// an inline switch value other than `true`, `false`, `1` or `0`.
     pub fn parse<I, S>(tokens: I) -> Result<Self, ArgsError>
     where
         I: IntoIterator<Item = S>,
@@ -97,15 +109,23 @@ impl ParsedArgs {
         while let Some(tok) = iter.next() {
             if let Some(flag) = tok.strip_prefix("--") {
                 if let Some((name, value)) = flag.split_once('=') {
-                    options.insert(name.to_owned(), value.to_owned());
-                } else if SWITCHES.contains(&flag) {
-                    let value =
-                        iter.next_if(|v| matches!(v.as_str(), "true" | "false" | "1" | "0"));
-                    let value = if matches!(value.as_deref(), Some("false" | "0")) {
-                        "false"
+                    let value = if SWITCHES.contains(&name) {
+                        switch_value(value)
+                            .ok_or_else(|| ArgsError::BadValue {
+                                flag: name.to_owned(),
+                                value: value.to_owned(),
+                                message: "expected true, false, 1 or 0".to_owned(),
+                            })?
+                            .to_owned()
                     } else {
-                        "true"
+                        value.to_owned()
                     };
+                    options.insert(name.to_owned(), value);
+                } else if SWITCHES.contains(&flag) {
+                    let value = iter
+                        .next_if(|v| switch_value(v).is_some())
+                        .and_then(|v| switch_value(&v))
+                        .unwrap_or("true");
                     options.insert(flag.to_owned(), value.to_owned());
                 } else {
                     let value = iter
@@ -230,6 +250,29 @@ mod tests {
         let b = ParsedArgs::parse(["dse", "--csv", "report"]).unwrap();
         assert_eq!(b.subcommand(), Some("report"));
         assert!(b.get("csv", false).unwrap());
+        // Inline values follow the same rule.
+        let c = ParsedArgs::parse([
+            "corpus",
+            "--csv=1",
+            "--fleet=0",
+            "--parallel=true",
+            "--profile=false",
+        ])
+        .unwrap();
+        assert!(c.get("csv", false).unwrap());
+        assert!(!c.get("fleet", true).unwrap());
+        assert!(c.get("parallel", false).unwrap());
+        assert!(!c.get("profile", true).unwrap());
+        assert_eq!(c.get_str("profile").as_deref(), Some("false"));
+        for bad in ["--csv=yes", "--csv="] {
+            match ParsedArgs::parse(["corpus", bad]).unwrap_err() {
+                ArgsError::BadValue { flag, value, .. } => {
+                    assert_eq!(flag, "csv");
+                    assert_eq!(format!("--{flag}={value}"), bad);
+                }
+                other => panic!("unexpected: {other}"),
+            }
+        }
     }
 
     #[test]

@@ -77,22 +77,15 @@ pub struct MetricsOptions {
     pub prof_out: Option<String>,
     /// Path for the Chrome trace-event export, if `--trace` was given.
     pub trace: Option<String>,
-    /// Structured-log verbosity ceiling, if `--log-level` was given.
-    pub log_level: Option<ia_obs::LogLevel>,
-    /// JSON-lines destination for structured logs, if `--log-file`
-    /// was given (implies `--log-level info` unless set explicitly).
-    pub log_file: Option<String>,
 }
 
 impl MetricsOptions {
-    /// Reads `--metrics text|json`, `--profile`, `--prof-out PATH`,
-    /// `--trace PATH`, `--log-level LEVEL` and `--log-file PATH` from
-    /// the parsed args.
+    /// Reads `--metrics text|json`, `--profile`, `--prof-out PATH` and
+    /// `--trace PATH` from the parsed args.
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Domain`] for an unrecognised metrics format
-    /// or log level.
+    /// Returns [`CliError::Domain`] for an unrecognised metrics format.
     pub fn from_args(args: &ParsedArgs) -> Result<Self, CliError> {
         let format = match args.get_str("metrics").as_deref() {
             None => None,
@@ -104,27 +97,14 @@ impl MetricsOptions {
                 )))
             }
         };
-        let profile = args
-            .get_str("profile")
-            .is_some_and(|v| v == "true" || v == "1");
+        let profile = args.get("profile", false)?;
         let prof_out = args.get_str("prof-out");
         let trace = args.get_str("trace");
-        let log_file = args.get_str("log-file");
-        let log_level = match args.get_str("log-level").as_deref() {
-            None => log_file.as_ref().map(|_| ia_obs::LogLevel::Info),
-            Some(raw) => Some(ia_obs::LogLevel::parse(raw).ok_or_else(|| {
-                CliError::Domain(format!(
-                    "unknown log level `{raw}` (expected error, warn, info, debug or trace)"
-                ))
-            })?),
-        };
         Ok(Self {
             format,
             profile,
             prof_out,
             trace,
-            log_level,
-            log_file,
         })
     }
 
@@ -138,37 +118,6 @@ impl MetricsOptions {
     #[must_use]
     pub fn wants_trace(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Whether structured logging must be enabled before dispatch.
-    #[must_use]
-    pub fn wants_logging(&self) -> bool {
-        self.log_level.is_some()
-    }
-
-    /// Drains the structured log records buffered during the command
-    /// and appends them (JSON lines) to the `--log-file` path.
-    /// Returns the path written, or `None` when no file was requested
-    /// or nothing was logged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Domain`] when the file cannot be written.
-    pub fn write_logs(&self) -> Result<Option<String>, CliError> {
-        if !self.wants_logging() {
-            return Ok(None);
-        }
-        let batch = ia_obs::drain_logs();
-        let Some(path) = &self.log_file else {
-            return Ok(None);
-        };
-        if batch.records.is_empty() {
-            return Ok(None);
-        }
-        batch
-            .append_to(std::path::Path::new(path))
-            .map_err(|e| CliError::Domain(format!("cannot write log file {path}: {e}")))?;
-        Ok(Some(path.clone()))
     }
 
     /// Writes the aggregated span profile to the `--prof-out` path:
@@ -849,8 +798,14 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, CliError> {
     let outcome = ia_serve::fleet::run_worker(&coordinator, &opts).map_err(domain)?;
     Ok(format!(
         "coordinator: {coordinator}\nworker: {}\n\
-         points: {} solved, {} failed, {} idle polls\n",
-        opts.worker_id, outcome.solved, outcome.failed, outcome.idle_polls
+         points: {} solved, {} failed, {} idle polls, {} uploads abandoned\n\
+         stopped: {}\n",
+        opts.worker_id,
+        outcome.solved,
+        outcome.failed,
+        outcome.idle_polls,
+        outcome.abandoned_uploads,
+        outcome.stop
     ))
 }
 
@@ -938,8 +893,6 @@ SERVE FLAGS:
   --cache-entries N        solve-cache capacity          [256]
   --queue-depth N          accept-queue bound (429 past it) [64]
   --request-timeout-ms N   per-request deadline          [10000]
-  --diag-dir DIR           where diagnostic bundles land [.]
-  --flight-interval-ms N   flight-recorder snapshot period [500]
   --fleet                  enable the fleet coordinator: dse jobs are
                            dispatched to remote workers over /fleet/*
   --lease-ms N             fleet point-lease duration    [30000]
@@ -959,11 +912,6 @@ TELEMETRY FLAGS (any command):
   --trace FILE.json        record span/counter events and write a
                            Chrome trace-event file (open it at
                            ui.perfetto.dev or chrome://tracing)
-  --log-level LEVEL        enable structured logging at error|warn|
-                           info|debug|trace
-  --log-file FILE.jsonl    append structured log records as JSON lines
-                           (implies --log-level info; under `serve`
-                           the server appends continuously)
 
 EXAMPLES:
   iarank rank --node 130 --gates 1000000 --detail true
@@ -985,8 +933,9 @@ EXAMPLES:
     .to_owned()
 }
 
-/// `iarank serve`: run the rank service until `POST /shutdown` (or a
-/// signal) stops it.
+/// `iarank serve`: run the rank service until `POST /shutdown` drains
+/// it. SIGTERM takes its default action: the process ends at once
+/// with exit status 143.
 ///
 /// The listening address is printed (and flushed) *before* the call
 /// blocks, so scripts binding an ephemeral port (`--addr
@@ -1002,9 +951,6 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let cache_entries = args.get("cache-entries", 256usize)?;
     let queue_depth = args.get("queue-depth", 64usize)?;
     let request_timeout_ms = args.get("request-timeout-ms", 10_000u64)?;
-    let log_file = args.get_str("log-file");
-    let diag_dir = args.get_str("diag-dir").unwrap_or_else(|| ".".to_owned());
-    let flight_interval_ms = args.get("flight-interval-ms", 500u64)?;
     let fleet = args.get("fleet", false)?;
     let lease_ms = args.get("lease-ms", 30_000u64)?;
     let heartbeat_ms = args.get("heartbeat-ms", 5_000u64)?;
@@ -1017,9 +963,6 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
         cache_entries,
         queue_depth,
         request_timeout: std::time::Duration::from_millis(request_timeout_ms),
-        log_file: log_file.map(std::path::PathBuf::from),
-        diag_dir: std::path::PathBuf::from(diag_dir),
-        flight_interval: std::time::Duration::from_millis(flight_interval_ms),
         fleet,
         lease_ms,
         heartbeat_ms,
@@ -1033,23 +976,6 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
         let _ = writeln!(stdout, "listening on {}", server.local_addr());
         let _ = stdout.flush();
     }
-    // On SIGTERM, write a diagnostic bundle and exit 143 (128 + 15)
-    // without waiting for in-flight work — the flight recorder's job
-    // is to preserve the evidence, not to drain gracefully (that is
-    // `POST /shutdown`). The handler itself only sets a flag; this
-    // watcher thread does the I/O.
-    crate::signal::install_sigterm();
-    let diagnostics = server.diagnostics();
-    std::thread::spawn(move || loop {
-        if crate::signal::sigterm_received() {
-            match diagnostics.dump("sigterm") {
-                Ok(path) => eprintln!("sigterm: diagnostic bundle written to {}", path.display()),
-                Err(e) => eprintln!("sigterm: failed to write diagnostic bundle: {e}"),
-            }
-            std::process::exit(143);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
     let served = server.join();
     Ok(format!("served {served} requests"))
 }

@@ -2,9 +2,10 @@
 //!
 //! See `iarank help` for usage.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
-mod signal;
 
 use std::io::Write;
 
@@ -54,25 +55,13 @@ fn main() {
     if metrics.wants_trace() {
         ia_obs::set_trace_enabled(true);
     }
-    if metrics.wants_logging() {
-        ia_obs::set_log_level(metrics.log_level);
-        ia_obs::log::log(
-            ia_obs::LogLevel::Info,
-            "cli.command",
-            "command started",
-            vec![(
-                "command",
-                ia_obs::json::JsonValue::Str(parsed.command.clone().unwrap_or_default()),
-            )],
-        );
-    }
     match commands::dispatch(&parsed) {
         Ok(output) => {
             write_stdout(&output);
             write_stdout(&metrics.render());
-            // The trace and logs go to their own files; confirmations
-            // go to stderr so `--metrics json | tail -n 1` stays
-            // intact.
+            // The profile and trace go to their own files;
+            // confirmations go to stderr so `--metrics json | tail -n 1`
+            // stays intact.
             match metrics.write_prof() {
                 Ok(Some(path)) => eprintln!("profile written to {path}"),
                 Ok(None) => {}
@@ -83,14 +72,6 @@ fn main() {
             }
             match metrics.write_trace() {
                 Ok(Some(path)) => eprintln!("trace written to {path}"),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-            match metrics.write_logs() {
-                Ok(Some(path)) => eprintln!("logs appended to {path}"),
                 Ok(None) => {}
                 Err(e) => {
                     eprintln!("error: {e}");

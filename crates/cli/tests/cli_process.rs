@@ -162,6 +162,36 @@ fn serve(extra: &[&str]) -> (Served, String) {
     (Served(server), addr)
 }
 
+#[test]
+fn an_idle_server_runs_main_the_acceptor_and_its_workers() {
+    let (server, addr) = serve(&["--workers", "2"]);
+    let (status, _) = client::get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz");
+    assert_eq!(status, 200);
+    let idle = threads(server.0.id());
+    assert!(
+        idle == 0 || idle == 4,
+        "{idle} threads, want main + acceptor + 2 workers"
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_ends_serve_at_once() {
+    use std::os::unix::process::ExitStatusExt;
+    let (mut server, addr) = serve(&[]);
+    let (status, _) = client::get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz");
+    assert_eq!(status, 200);
+    let sent = Command::new("kill")
+        .args(["-TERM", &server.0.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(sent.success());
+    // The default action: no handler runs, and the shell reports the
+    // signal as exit status 128 + 15 = 143.
+    let exit = server.0.wait().expect("server exits");
+    assert_eq!(exit.signal(), Some(15), "{exit:?}");
+}
+
 /// Reads counter `name` from the server's `/metrics` once the counter
 /// `flushed` shows the request's telemetry has landed.
 fn settled_counter(addr: &str, flushed: &str, name: &str) -> u64 {
@@ -181,11 +211,9 @@ fn settled_counter(addr: &str, flushed: &str, name: &str) -> u64 {
 fn a_parallel_sweep_is_bounded_by_the_workers_and_the_deadline() {
     let (server, addr) = serve(&["--workers", "2", "--request-timeout-ms", "200"]);
     let pid = server.0.id();
-    // Once `/healthz` answers and the SIGTERM watcher has had time to
-    // start, every thread the server keeps is up.
+    // Every thread the server keeps starts before the listening line.
     let (status, _) = client::get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz");
     assert_eq!(status, 200);
-    std::thread::sleep(Duration::from_millis(100));
     let baseline = threads(pid);
     let values: Vec<String> = (10..50).map(|i| format!("0.{i}")).collect();
     let body = format!(

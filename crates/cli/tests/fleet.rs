@@ -146,9 +146,10 @@ fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
     }
 }
 
-/// Reads a numeric field out of the coordinator's `/statz` fleet block.
+/// Reads a numeric field out of the fleet block of the coordinator's
+/// `/healthz`.
 fn fleet_stat(addr: &str, field: &str) -> u64 {
-    let Ok((200, body)) = client::get(addr, "/statz", Duration::from_secs(5)) else {
+    let Ok((200, body)) = client::get(addr, "/healthz", Duration::from_secs(5)) else {
         return 0;
     };
     JsonValue::parse(&body)
@@ -162,10 +163,9 @@ fn fleet_stat(addr: &str, field: &str) -> u64 {
 
 /// Starts `iarank serve --fleet` on an ephemeral port with `extra`
 /// flags; returns the server process and its resolved address.
-fn start_coordinator(dir: &std::path::Path, extra: &[&str]) -> (Child, String) {
+fn start_coordinator(extra: &[&str]) -> (Child, String) {
     let mut serve = iarank()
-        .args(["serve", "--addr", "127.0.0.1:0", "--fleet", "--diag-dir"])
-        .arg(dir)
+        .args(["serve", "--addr", "127.0.0.1:0", "--fleet"])
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -210,17 +210,14 @@ fn a_coordinator_fans_out_and_survives_a_worker_kill() {
     let spec = write_spec(&dir, SPEC);
     let reference = reference_run(&spec, &dir.join("ref-runs"));
     let coord_runs = dir.join("coord-runs");
-    let (serve, addr) = start_coordinator(
-        &dir,
-        &[
-            "--lease-ms",
-            "700",
-            "--heartbeat-ms",
-            "100",
-            "--runs",
-            coord_runs.to_str().expect("utf8 path"),
-        ],
-    );
+    let (serve, addr) = start_coordinator(&[
+        "--lease-ms",
+        "700",
+        "--heartbeat-ms",
+        "100",
+        "--runs",
+        coord_runs.to_str().expect("utf8 path"),
+    ]);
 
     // The stalling worker registers first, so the dispatcher sees a
     // live fleet and queues points instead of solving in-process.
@@ -298,8 +295,7 @@ fn three_remote_workers_match_a_single_process_adaptive_run() {
     let spec = write_spec(&dir, ADAPTIVE_SPEC);
     let reference = reference_run(&spec, &dir.join("ref-runs"));
     let coord_runs = dir.join("coord-runs");
-    let (serve, addr) =
-        start_coordinator(&dir, &["--runs", coord_runs.to_str().expect("utf8 path")]);
+    let (serve, addr) = start_coordinator(&["--runs", coord_runs.to_str().expect("utf8 path")]);
 
     let workers: Vec<Child> = ["w1", "w2", "w3"]
         .into_iter()
@@ -343,14 +339,21 @@ fn three_remote_workers_match_a_single_process_adaptive_run() {
             String::from_utf8_lossy(&out.stderr)
         );
         solved += count_before(&scrape(&text, "points"), " solved");
+        // A worker that polls while the server drains hears
+        // `draining`; one that polls after it closed cannot connect.
+        let stopped = scrape(&text, "stopped");
+        assert!(
+            stopped == "the coordinator is draining"
+                || stopped.starts_with("coordinator unreachable after 5 failed claims: "),
+            "{stopped}"
+        );
     }
     assert_eq!(solved, 6, "each point solved by exactly one worker");
 }
 
 #[test]
 fn nested_bodies_are_rejected_and_the_coordinator_keeps_serving() {
-    let dir = scratch("nested");
-    let (serve, addr) = start_coordinator(&dir, &[]);
+    let (serve, addr) = start_coordinator(&[]);
     let timeout = Duration::from_secs(10);
 
     let json = "[".repeat(60_000);

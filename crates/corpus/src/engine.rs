@@ -11,8 +11,6 @@ use std::path::Path;
 
 use ia_dse::scheduler::{execute, ExecOptions};
 use ia_dse::store::{RunStore, StoreCache};
-use ia_obs::json::JsonValue;
-use ia_obs::log::{self as obs_log, LogLevel};
 use ia_rank::sweep::CachedSolve;
 use ia_wld::RentParameters;
 
@@ -105,22 +103,10 @@ fn finish(
     completed: BTreeMap<u128, CachedSolve>,
     opts: &RunOptions,
 ) -> Result<RunOutcome, CorpusError> {
-    // Correlate the whole invocation — design ingestion, scheduler
-    // worker records, per-point spans — on the content-addressed id.
+    // Correlate the whole invocation's trace events — design ingestion,
+    // scheduler workers, per-point spans — on the content-addressed id.
     let run_id = spec.run_id();
-    let _ctx = ia_obs::push_context(obs_log::context_for(&run_id));
-    obs_log::log(
-        LogLevel::Info,
-        "corpus.run",
-        "corpus run started",
-        vec![
-            ("run_id", JsonValue::Str(run_id.clone())),
-            (
-                "resumed_points",
-                JsonValue::UInt(u64::try_from(completed.len()).unwrap_or(u64::MAX)),
-            ),
-        ],
-    );
+    let _ctx = ia_obs::push_context(ia_obs::context_for(&run_id));
     let mut points = expand(spec);
     let designs = if opts.budget == Some(0) {
         // Pure replay: nothing will be solved, so no design may be
@@ -163,8 +149,8 @@ fn finish(
         return Err(error.into());
     }
     let solved_points = assemble(spec, &points, &exec.results);
-    let outcome = RunOutcome {
-        run_id: run_id.clone(),
+    Ok(RunOutcome {
+        run_id,
         run_dir: store.dir().display().to_string(),
         total_points: u64::try_from(points.len()).unwrap_or(u64::MAX),
         solved: exec.solved,
@@ -172,19 +158,7 @@ fn finish(
         skipped: exec.skipped,
         complete: exec.skipped == 0,
         points: solved_points,
-    };
-    obs_log::log(
-        LogLevel::Info,
-        "corpus.run",
-        "corpus run finished",
-        vec![
-            ("run_id", JsonValue::Str(run_id)),
-            ("solved", JsonValue::UInt(outcome.solved)),
-            ("cached", JsonValue::UInt(outcome.cached)),
-            ("skipped", JsonValue::UInt(outcome.skipped)),
-        ],
-    );
-    Ok(outcome)
+    })
 }
 
 /// Solves one corpus point: the backend's wire-length distribution

@@ -17,8 +17,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 
-use ia_obs::json::JsonValue;
-use ia_obs::log::{self as obs_log, LogLevel};
 use ia_obs::{counter_add, Stopwatch};
 use ia_rank::sweep::{CachedSolve, PointCache};
 
@@ -77,8 +75,7 @@ pub struct SolvedPoint {
 }
 
 /// Phase timings for one exploration round, as reported in run
-/// results (`rounds_detail` in `ia-serve`'s job JSON) and the
-/// per-round `dse.round` log records.
+/// results (`rounds_detail` in `ia-serve`'s job JSON).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundTiming {
     /// Zero-based round index.
@@ -358,23 +355,6 @@ pub fn explore(
             dp_front_ns: phases_after.2.saturating_sub(phases_before.2),
             dp_prune_ns: phases_after.3.saturating_sub(phases_before.3),
         };
-        obs_log::log(
-            LogLevel::Debug,
-            "dse.round",
-            "round executed",
-            vec![
-                ("round", JsonValue::UInt(timing.round)),
-                ("points", JsonValue::UInt(timing.points)),
-                ("solved", JsonValue::UInt(timing.solved)),
-                ("cached", JsonValue::UInt(timing.cached)),
-                ("execute_ns", JsonValue::UInt(timing.execute_ns)),
-                ("refine_ns", JsonValue::UInt(timing.refine_ns)),
-                ("dp_expand_ns", JsonValue::UInt(timing.dp_expand_ns)),
-                ("dp_memo_ns", JsonValue::UInt(timing.dp_memo_ns)),
-                ("dp_front_ns", JsonValue::UInt(timing.dp_front_ns)),
-                ("dp_prune_ns", JsonValue::UInt(timing.dp_prune_ns)),
-            ],
-        );
         round_timings.push(timing);
         if stop {
             break;
@@ -442,22 +422,10 @@ fn finish(
     completed: BTreeMap<u128, CachedSolve>,
     opts: &RunOptions<'_>,
 ) -> Result<RunOutcome, DseError> {
-    // Correlate the whole invocation — per-round records, scheduler
-    // worker records, trace events — on the content-addressed run id.
+    // Correlate the whole invocation's trace events, scheduler workers
+    // included, on the content-addressed run id.
     let run_id = spec.run_id();
-    let _ctx = ia_obs::push_context(obs_log::context_for(&run_id));
-    obs_log::log(
-        LogLevel::Info,
-        "dse.run",
-        "run started",
-        vec![
-            ("run_id", JsonValue::Str(run_id.clone())),
-            (
-                "resumed_points",
-                JsonValue::UInt(u64::try_from(completed.len()).unwrap_or(u64::MAX)),
-            ),
-        ],
-    );
+    let _ctx = ia_obs::push_context(ia_obs::context_for(&run_id));
     let cache = StoreCache::new(store, completed);
     let mut outcome = explore(spec, &cache, opts)?;
     if let Some(error) = cache.take_error() {
@@ -465,18 +433,6 @@ fn finish(
     }
     outcome.run_id = run_id;
     outcome.run_dir = store.dir().display().to_string();
-    obs_log::log(
-        LogLevel::Info,
-        "dse.run",
-        "run finished",
-        vec![
-            ("run_id", JsonValue::Str(outcome.run_id.clone())),
-            ("solved", JsonValue::UInt(outcome.solved)),
-            ("cached", JsonValue::UInt(outcome.cached)),
-            ("skipped", JsonValue::UInt(outcome.skipped)),
-            ("complete", JsonValue::Bool(outcome.complete)),
-        ],
-    );
     Ok(outcome)
 }
 

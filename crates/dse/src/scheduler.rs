@@ -19,8 +19,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use ia_obs::json::JsonValue;
-use ia_obs::log::{self as obs_log, LogLevel, RateLimit};
 use ia_obs::{counter_add, MergeSink};
 use ia_rank::sweep::{CachedSolve, PointCache};
 
@@ -67,7 +65,7 @@ pub struct ExecNames {
     pub cached: &'static str,
     /// Counter: points left unsolved by a budget stop or cancellation.
     pub skipped: &'static str,
-    /// Span covering one fresh solve; also the per-point log target.
+    /// Span covering one fresh solve.
     pub point: &'static str,
     /// Worker-thread name prefix registered with the merge sink.
     pub worker_prefix: &'static str,
@@ -197,19 +195,6 @@ fn drain<P, E>(round: &Round<'_, P, E>) {
                 round.cache.store(key, value);
                 round.solved.fetch_add(1, Ordering::SeqCst);
                 counter_add(round.names.solved, 1);
-                // Rate-limited so a dense grid logs a sample of its
-                // points, not all of them.
-                static POINT_LOG: RateLimit = RateLimit::new(256, 1_000_000_000);
-                obs_log::log_limited(
-                    &POINT_LOG,
-                    LogLevel::Debug,
-                    round.names.point,
-                    "point solved",
-                    vec![
-                        ("key", JsonValue::Str(format!("{key:032x}"))),
-                        ("rank", JsonValue::UInt(value.rank)),
-                    ],
-                );
                 round.record(index, value);
             }
             Err(e) => {
@@ -271,7 +256,7 @@ pub fn execute<P: Sync, E: Send + From<DseError>>(
     *lock(&round.queue) = misses;
     let sink = MergeSink::new();
     // The correlation context is thread-local; carry the caller's into
-    // every worker so per-point records correlate to the run.
+    // every worker so per-point spans correlate to the run.
     let ctx = ia_obs::current_context();
     let mut panicked = false;
     thread::scope(|scope| {

@@ -35,9 +35,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::export::{HistogramStat, Snapshot, SpanStat};
 use crate::histogram::{bucket_upper_bound, Histogram};
-use crate::log::{current_context, log_capacity, LogBatch, LogRecord};
 use crate::trace::{
-    counter_event_capacity, now_ns, span_event_capacity, trace_enabled, TraceEvent, TraceEventKind,
+    counter_event_capacity, current_context, now_ns, span_event_capacity, trace_enabled,
+    TraceEvent, TraceEventKind,
 };
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -72,11 +72,6 @@ pub(crate) struct Storage {
     pub(crate) merged_span_events: usize,
     /// Counter-event counterpart of `merged_span_events`.
     pub(crate) merged_counter_events: usize,
-    /// Bounded buffer of structured log records (see [`crate::log`]).
-    pub(crate) log_records: Vec<LogRecord>,
-    pub(crate) dropped_log_records: u64,
-    /// Log-record counterpart of `merged_span_events`.
-    pub(crate) merged_log_records: usize,
     /// This thread's track id, assigned on first trace event or worker
     /// registration and stable for the thread's lifetime.
     pub(crate) tid: Option<u64>,
@@ -122,20 +117,6 @@ impl Storage {
             });
         } else {
             self.dropped_span_events += 1;
-        }
-    }
-
-    /// Appends a structured log record, dropping (newest-first) when
-    /// the buffer is at capacity.
-    pub(crate) fn push_log_record(&mut self, record: LogRecord) {
-        let recorded = self
-            .log_records
-            .len()
-            .saturating_sub(self.merged_log_records);
-        if recorded < log_capacity() {
-            self.log_records.push(record);
-        } else {
-            self.dropped_log_records += 1;
         }
     }
 
@@ -187,9 +168,6 @@ impl Storage {
         self.counter_events.extend(other.counter_events);
         self.dropped_span_events += other.dropped_span_events;
         self.dropped_counter_events += other.dropped_counter_events;
-        self.merged_log_records += other.log_records.len();
-        self.log_records.extend(other.log_records);
-        self.dropped_log_records += other.dropped_log_records;
         self.thread_names.extend(other.thread_names);
     }
 }
@@ -429,25 +407,6 @@ impl MergeSink {
     pub fn peek_snapshot(&self) -> Snapshot {
         let guard = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         storage_snapshot(&guard)
-    }
-
-    /// Moves the log records out of the sink's pending pile as a
-    /// [`LogBatch`] (sorted by `(ts_ns, tid)`), leaving counters,
-    /// spans, histograms and trace events in place. This is the log
-    /// counterpart of [`peek_snapshot`](Self::peek_snapshot) for a
-    /// long-running process: a ticker thread drains the records that
-    /// flushing workers have piled up without disturbing cumulative
-    /// metrics.
-    #[must_use]
-    pub fn drain_pending_logs(&self) -> LogBatch {
-        let mut guard = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut records = std::mem::take(&mut guard.log_records);
-        let dropped = guard.dropped_log_records;
-        guard.dropped_log_records = 0;
-        guard.merged_log_records = 0;
-        drop(guard);
-        records.sort_by_key(|r| (r.ts_ns, r.tid));
-        LogBatch { records, dropped }
     }
 }
 

@@ -40,17 +40,14 @@
 //! [`drain_trace`] and exported in the Chrome trace-event format
 //! ([`Trace::to_chrome_json`]) for `chrome://tracing` / Perfetto.
 //!
-//! The telemetry plane on top of the collector:
+//! Trace events carry the thread's ambient correlation context
+//! ([`push_context`]), so a request id or a run id follows every span
+//! a request or a run opens, across worker threads.
 //!
-//! - [`log`](self::log) — structured, leveled, bounded JSON-lines
-//!   logging riding the same per-thread storage and [`MergeSink`]
-//!   merge, with per-call-site rate limiting and an ambient
-//!   correlation context stamped onto records and trace events;
+//! Two more views of the same records:
+//!
 //! - [`prometheus`] — the Prometheus text exposition (0.0.4) view of a
 //!   [`Snapshot`];
-//! - [`flight`] — a fixed-size flight recorder of periodic snapshots
-//!   and recent log records, rendered as `/statz` deltas or an
-//!   on-disk diagnostic bundle;
 //! - [`prof`] — deterministic hierarchical call-tree profiles
 //!   aggregated from span snapshots, exported as the exact-`u64`
 //!   `ia-prof-v1` JSON tree or folded-stack flamegraph text.
@@ -60,10 +57,8 @@
 
 mod collector;
 mod export;
-pub mod flight;
 mod histogram;
 pub mod json;
-pub mod log;
 pub mod prof;
 pub mod prometheus;
 mod span;
@@ -75,16 +70,12 @@ pub use collector::{
     MergeSink, WorkerGuard,
 };
 pub use export::{HistogramStat, Snapshot, SpanStat};
-pub use flight::FlightRecorder;
 pub use histogram::{bucket_index, bucket_upper_bound, BUCKETS};
-pub use log::{
-    current_context, drain_logs, log_enabled, push_context, set_log_level, ContextGuard, LogBatch,
-    LogLevel, LogRecord, RateLimit,
-};
 pub use prof::{Profile, ProfileNode};
 pub use span::{hot_span, span, Span};
 pub use stopwatch::Stopwatch;
 pub use trace::{
-    drain_trace, epoch_now_ns, set_trace_capacity, set_trace_enabled, trace_enabled, Trace,
-    TraceEvent, TraceEventKind, DEFAULT_COUNTER_EVENT_CAPACITY, DEFAULT_SPAN_EVENT_CAPACITY,
+    context_for, context_hex, current_context, drain_trace, push_context, set_trace_capacity,
+    set_trace_enabled, trace_enabled, ContextGuard, Trace, TraceEvent, TraceEventKind,
+    DEFAULT_COUNTER_EVENT_CAPACITY, DEFAULT_SPAN_EVENT_CAPACITY,
 };

@@ -38,7 +38,18 @@
 //! [`crate::MergeSink`]) out as a [`Trace`], sorted deterministically
 //! by `(timestamp, thread id)`. Drain at span-quiescent points (no
 //! spans open), or the next drain may begin with orphaned end events.
+//!
+//! # Correlation context
+//!
+//! Each thread carries an ambient correlation context — a `u64` set
+//! with [`push_context`] (RAII; the guard restores the previous value).
+//! Every trace event captures the context at recording time, so a
+//! server can stamp a request id on every span a request opens and a
+//! DSE run can stamp its run id hash across scheduler workers. `0`
+//! means "no context"; the Chrome export renders a non-zero context as
+//! `args.request_id`.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -100,13 +111,59 @@ pub(crate) fn now_ns() -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Nanoseconds of monotonic time since the trace epoch — the clock
-/// trace events and log records are stamped with. Public so external
-/// tickers (e.g. a server's flight recorder) can put their own frames
-/// on the same timeline.
+thread_local! {
+    static CONTEXT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's ambient correlation context (`0` = none).
+#[inline]
 #[must_use]
-pub fn epoch_now_ns() -> u64 {
-    now_ns()
+pub fn current_context() -> u64 {
+    CONTEXT.with(Cell::get)
+}
+
+/// Sets the calling thread's correlation context for the guard's
+/// lifetime; the previous context is restored on drop, so scopes nest.
+#[must_use = "the context lasts only while the guard is alive; bind it with `let _ctx = ...`"]
+pub fn push_context(ctx: u64) -> ContextGuard {
+    let prev = CONTEXT.with(|c| c.replace(ctx));
+    ContextGuard { prev }
+}
+
+/// RAII handle returned by [`push_context`].
+#[derive(Debug)]
+pub struct ContextGuard {
+    prev: u64,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        CONTEXT.with(|c| c.set(self.prev));
+    }
+}
+
+/// Derives a correlation context from a string id (a DSE run id, a
+/// cache key) as its 64-bit FNV-1a hash — deterministic, and non-zero
+/// for every input including the empty string.
+#[must_use]
+pub fn context_for(id: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in id.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    if hash == 0 {
+        1
+    } else {
+        hash
+    }
+}
+
+/// Renders a context as the 16-hex-digit form used in trace exports
+/// and the `x-request-id` header.
+#[must_use]
+pub fn context_hex(ctx: u64) -> String {
+    format!("{ctx:016x}")
 }
 
 /// What one trace event records.
@@ -136,7 +193,7 @@ pub struct TraceEvent {
     /// process lifetime, starting at 1).
     pub tid: u64,
     /// Correlation context ambient on the recording thread (see
-    /// [`crate::log::push_context`]); `0` means none. The Chrome
+    /// [`push_context`]); `0` means none. The Chrome
     /// export surfaces a non-zero context as `args.request_id`.
     pub ctx: u64,
     /// What happened.
@@ -243,7 +300,7 @@ impl Trace {
             if event.ctx != 0 {
                 arg_fields.push((
                     "request_id".to_owned(),
-                    JsonValue::Str(crate::log::context_hex(event.ctx)),
+                    JsonValue::Str(context_hex(event.ctx)),
                 ));
             }
             if !arg_fields.is_empty() {
@@ -316,6 +373,28 @@ mod tests {
             ctx: 0,
             kind,
         }
+    }
+
+    #[test]
+    fn context_guard_nests_and_restores() {
+        assert_eq!(current_context(), 0);
+        {
+            let _outer = push_context(7);
+            assert_eq!(current_context(), 7);
+            {
+                let _inner = push_context(9);
+                assert_eq!(current_context(), 9);
+            }
+            assert_eq!(current_context(), 7);
+        }
+        assert_eq!(current_context(), 0);
+    }
+
+    #[test]
+    fn context_for_is_deterministic_and_nonzero() {
+        assert_eq!(context_for("run-1"), context_for("run-1"));
+        assert_ne!(context_for("run-1"), context_for("run-2"));
+        assert_ne!(context_for(""), 0);
     }
 
     #[test]

@@ -42,7 +42,6 @@ use ia_dse::spec::{config_from_json, config_to_json};
 use ia_dse::store::{solve_from_json, solve_to_json};
 use ia_dse::{DseError, Point, PointSolver};
 use ia_obs::json::JsonValue;
-use ia_obs::log::{self as obs_log, LogLevel};
 use ia_obs::{counter_add, Stopwatch};
 use ia_rank::sweep::CachedSolve;
 
@@ -125,14 +124,8 @@ impl FleetState {
             Ok(worker) => worker,
             Err(err) => return err,
         };
-        lock(&self.inner).workers.insert(worker.clone(), now_ms());
+        lock(&self.inner).workers.insert(worker, now_ms());
         counter_add(names::FLEET_REGISTERED, 1);
-        obs_log::log(
-            LogLevel::Info,
-            "serve.fleet",
-            "worker registered",
-            vec![("worker", JsonValue::Str(worker))],
-        );
         let body = JsonValue::Obj(vec![
             ("status".to_owned(), JsonValue::Str("ok".to_owned())),
             (
@@ -286,15 +279,6 @@ impl FleetState {
                 continue;
             };
             counter_add(names::FLEET_RECLAIMED, 1);
-            obs_log::log(
-                LogLevel::Warn,
-                "serve.fleet",
-                "lease reclaimed from dead worker",
-                vec![
-                    ("worker", JsonValue::Str(lease.worker.clone())),
-                    ("key", JsonValue::Str(format!("{:032x}", lease.slot.key))),
-                ],
-            );
             inner.pending.push_front(lease.slot);
         }
     }
@@ -308,9 +292,10 @@ impl FleetState {
             .count()
     }
 
-    /// The fleet block rendered on `GET /statz`.
+    /// The fleet block rendered at the end of `GET /healthz` in fleet
+    /// mode.
     #[must_use]
-    pub fn statz_json(&self) -> JsonValue {
+    pub fn healthz_json(&self) -> JsonValue {
         let now = now_ms();
         let inner = lock(&self.inner);
         let u = |n: usize| JsonValue::UInt(u64::try_from(n).unwrap_or(u64::MAX));
@@ -424,8 +409,8 @@ impl Default for WorkerOptions {
     }
 }
 
-/// What a remote worker did before exiting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What a remote worker did before exiting, and why it stopped.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerOutcome {
     /// Points solved and successfully returned.
     pub solved: u64,
@@ -433,6 +418,37 @@ pub struct WorkerOutcome {
     pub failed: u64,
     /// `idle` polls observed.
     pub idle_polls: u64,
+    /// Results given up after 4 upload attempts failed in transport.
+    /// Their leases expire and the coordinator redispatches the
+    /// points.
+    pub abandoned_uploads: u64,
+    /// Why the worker stopped.
+    pub stop: WorkerStop,
+}
+
+/// Why a remote worker stopped.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum WorkerStop {
+    /// The coordinator answered `draining`.
+    #[default]
+    Drained,
+    /// `max_idle_ms` passed without work.
+    Idle,
+    /// 5 claims in a row failed in transport; holds the last error.
+    Unreachable(String),
+}
+
+impl std::fmt::Display for WorkerStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkerStop::Drained => f.write_str("the coordinator is draining"),
+            WorkerStop::Idle => f.write_str("idle past max_idle_ms"),
+            WorkerStop::Unreachable(error) => write!(
+                f,
+                "coordinator unreachable after {MAX_CLAIM_ERRORS} failed claims: {error}"
+            ),
+        }
+    }
 }
 
 /// How many consecutive claim failures a worker tolerates before
@@ -463,16 +479,6 @@ pub fn run_worker(coordinator: &str, opts: &WorkerOptions) -> Result<WorkerOutco
         .ok()
         .and_then(|doc| doc.get("heartbeat_ms").and_then(JsonValue::as_u64))
         .unwrap_or(5_000);
-    obs_log::log(
-        LogLevel::Info,
-        "serve.fleet.worker",
-        "registered with coordinator",
-        vec![
-            ("worker", JsonValue::Str(opts.worker_id.clone())),
-            ("coordinator", JsonValue::Str(coordinator.to_owned())),
-            ("heartbeat_ms", JsonValue::UInt(heartbeat_ms)),
-        ],
-    );
     let mut outcome = WorkerOutcome::default();
     let mut idle_since: Option<Stopwatch> = None;
     let mut last_heartbeat = Stopwatch::start();
@@ -490,12 +496,7 @@ pub fn run_worker(coordinator: &str, opts: &WorkerOptions) -> Result<WorkerOutco
             Err(e) => {
                 claim_errors += 1;
                 if claim_errors >= MAX_CLAIM_ERRORS {
-                    obs_log::log(
-                        LogLevel::Warn,
-                        "serve.fleet.worker",
-                        "coordinator unreachable, exiting",
-                        vec![("error", JsonValue::Str(e))],
-                    );
+                    outcome.stop = WorkerStop::Unreachable(e);
                     return Ok(outcome);
                 }
                 std::thread::sleep(Duration::from_millis(opts.poll_ms));
@@ -519,6 +520,7 @@ pub fn run_worker(coordinator: &str, opts: &WorkerOptions) -> Result<WorkerOutco
                 if opts.max_idle_ms > 0
                     && began.elapsed() >= Duration::from_millis(opts.max_idle_ms)
                 {
+                    outcome.stop = WorkerStop::Idle;
                     return Ok(outcome);
                 }
                 std::thread::sleep(Duration::from_millis(opts.poll_ms));
@@ -579,7 +581,9 @@ fn solve_lease(
     // A lost upload is recoverable — the lease expires and the point
     // is redispatched — but that costs a full duplicate solve, so a
     // brief coordinator outage is ridden out with retries first.
-    let _ = upload_result(coordinator, opts, &body);
+    if !upload_result(coordinator, opts, &body) {
+        outcome.abandoned_uploads += 1;
+    }
     Ok(())
 }
 
@@ -600,17 +604,8 @@ fn upload_result(coordinator: &str, opts: &WorkerOptions, body: &str) -> bool {
     for attempt in 1..=MAX_UPLOAD_ATTEMPTS {
         match client::post_json(coordinator, "/fleet/result", body, opts.timeout) {
             Ok(_) => return true,
-            Err(error) => {
+            Err(_) => {
                 if attempt == MAX_UPLOAD_ATTEMPTS {
-                    obs_log::log(
-                        LogLevel::Warn,
-                        "serve.fleet.worker",
-                        "result upload abandoned; the lease will expire",
-                        vec![
-                            ("error", JsonValue::Str(error)),
-                            ("attempts", JsonValue::UInt(u64::from(attempt))),
-                        ],
-                    );
                     break;
                 }
                 counter_add(names::FLEET_UPLOAD_RETRIES, 1);
@@ -747,15 +742,92 @@ mod tests {
     }
 
     #[test]
-    fn statz_counts_workers_and_queues() {
+    fn healthz_counts_workers_and_queues_in_fleet_mode() {
         let state = FleetState::new(30_000, 5_000);
         let _ = state.register(&body("w1"));
         let _slot = push_point(&state, 0x1);
-        let doc = state.statz_json();
+        let doc = state.healthz_json();
         assert_eq!(doc.get("workers").unwrap().as_u64().unwrap(), 1);
         assert_eq!(doc.get("live_workers").unwrap().as_u64().unwrap(), 1);
         assert_eq!(doc.get("pending").unwrap().as_u64().unwrap(), 1);
         assert_eq!(doc.get("inflight").unwrap().as_u64().unwrap(), 0);
+
+        // The block ends `GET /healthz` in fleet mode, and only there.
+        let timeout = Duration::from_secs(10);
+        for fleet in [true, false] {
+            let server = crate::Server::bind(crate::ServerConfig {
+                workers: 1,
+                fleet,
+                ..crate::ServerConfig::default()
+            })
+            .unwrap();
+            let addr = server.local_addr().to_string();
+            if fleet {
+                let (status, _) =
+                    client::post_json(&addr, "/fleet/register", r#"{"worker": "w1"}"#, timeout)
+                        .unwrap();
+                assert_eq!(status, 200);
+            }
+            let (status, text) = client::get(&addr, "/healthz", timeout).unwrap();
+            assert_eq!(status, 200);
+            let doc = JsonValue::parse(&text).unwrap();
+            assert_eq!(doc.get("status").unwrap().as_str().unwrap(), "ok");
+            let block = doc.get("fleet");
+            if fleet {
+                let block = block.unwrap();
+                assert_eq!(block.get("workers").unwrap().as_u64().unwrap(), 1);
+                assert_eq!(block.get("inflight").unwrap().as_u64().unwrap(), 0);
+            } else {
+                assert!(block.is_none(), "{text}");
+            }
+            server.shutdown();
+            let _ = server.join();
+        }
+    }
+
+    #[test]
+    fn a_worker_reports_why_it_stopped() {
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+        // A coordinator that answers the registration and then goes
+        // away: every claim after it fails in transport.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut buf = [0u8; 4096];
+            while !request.ends_with(b"}") {
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&buf[..n]),
+                }
+            }
+            let body = r#"{"status": "ok", "heartbeat_ms": 60000}"#;
+            let _ = write!(
+                stream,
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            );
+        });
+        let opts = WorkerOptions {
+            poll_ms: 1,
+            ..WorkerOptions::default()
+        };
+        let outcome = run_worker(&addr, &opts).unwrap();
+        server.join().unwrap();
+        assert_eq!(outcome.solved, 0);
+        let WorkerStop::Unreachable(error) = &outcome.stop else {
+            panic!("stopped for another reason: {:?}", outcome.stop);
+        };
+        assert!(!error.is_empty());
+        assert!(
+            outcome.stop.to_string().starts_with(&format!(
+                "coordinator unreachable after {MAX_CLAIM_ERRORS} failed claims: "
+            )),
+            "{}",
+            outcome.stop
+        );
     }
 
     #[test]

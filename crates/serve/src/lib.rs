@@ -11,8 +11,12 @@
 //! * `POST /sweep` — Table 4 knob sweeps, run on `ia-dse`'s bounded
 //!   point executor with up to `--workers` solves at once;
 //! * `POST /sensitivity` — knob elasticities at an operating point;
-//! * `GET /healthz` — liveness plus queue/cache occupancy;
-//! * `GET /metrics` — the merged `ia-obs` telemetry snapshot;
+//! * `GET /healthz` — liveness plus queue/cache occupancy, and in
+//!   fleet mode the fleet's worker, queue and lease occupancy;
+//! * `GET /metrics` — the merged `ia-obs` telemetry snapshot, as JSON
+//!   or as Prometheus text;
+//! * `GET /debug/prof` (and `POST /debug/prof/start`) — the span
+//!   profile of the server's lifetime or of a window;
 //! * `POST /fleet/register|claim|result` — the distributed-dse worker
 //!   protocol (fleet mode; see [`fleet`]), the workspace's one way to
 //!   spread a run over several processes or machines;
@@ -45,5 +49,5 @@ pub mod server;
 
 pub use api::{SensitivityRequest, SolveRequest, SweepRequest};
 pub use cache::{CacheOutcome, SolveCache};
-pub use fleet::{FleetDispatcher, FleetState, WorkerOptions, WorkerOutcome};
+pub use fleet::{FleetDispatcher, FleetState, WorkerOptions, WorkerOutcome, WorkerStop};
 pub use server::{Server, ServerConfig};

@@ -13,16 +13,11 @@
 //! Every request is assigned a **request id**, echoed back as the
 //! `x-request-id` header and pushed as the worker's ambient
 //! correlation context ([`ia_obs::push_context`]) for the request's
-//! lifetime — so every log record, span and trace event the request
-//! produces carries it. A **flight ticker** thread periodically drains
-//! the sink's pending log records (appending them to the configured
-//! log file) and snapshots the merged metrics into a fixed-size
-//! [`FlightRecorder`] ring; `GET /statz` renders the last-k counter
-//! deltas, and a deterministic diagnostic bundle is written on a
-//! request-handler panic, via `POST /debug/dump`, or by an embedding
-//! process (SIGTERM) through the [`Diagnostics`] handle. `GET
-//! /metrics` content-negotiates between the exact-`u64` JSON tree and
-//! the Prometheus 0.0.4 text exposition (`Accept: text/plain`).
+//! lifetime — so every span and trace event the request produces
+//! carries it. `GET /metrics` content-negotiates between the
+//! exact-`u64` JSON tree and the Prometheus 0.0.4 text exposition
+//! (`Accept: text/plain`); `GET /debug/prof` profiles the spans. A
+//! panicking handler answers `500` and counts `serve.panics`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -36,11 +31,9 @@ use std::time::Duration;
 use ia_dse::scheduler::{execute, ExecOptions};
 use ia_dse::{DseError, ExperimentSpec, RunOptions, RunOutcome};
 use ia_obs::json::JsonValue;
-use ia_obs::log::{self as obs_log, LogLevel, RateLimit};
 use ia_obs::prometheus::PromWriter;
 use ia_obs::{
-    counter_add, counter_max, histogram_record, FlightRecorder, MergeSink, Profile, Snapshot,
-    SpanStat, Stopwatch,
+    counter_add, counter_max, histogram_record, MergeSink, Profile, Snapshot, SpanStat, Stopwatch,
 };
 use ia_rank::canon::BoundConfig;
 use ia_rank::sensitivity::{sensitivities, OperatingPoint};
@@ -73,17 +66,11 @@ pub struct ServerConfig {
     /// Request-body size ceiling; larger bodies are rejected with
     /// `413`.
     pub max_body_bytes: usize,
-    /// JSON-lines file the flight ticker appends drained log records
-    /// to (`None` keeps records in memory only).
-    pub log_file: Option<PathBuf>,
-    /// Directory diagnostic bundles are written into.
+    /// Read by nothing. It stays only because the benchmark's
+    /// `serve-mixed` workload (`perfbench/src/workloads/serve.rs`)
+    /// names it in a struct literal; it goes once the benchmark drops
+    /// it.
     pub diag_dir: PathBuf,
-    /// Metric-snapshot frames the flight recorder retains.
-    pub flight_frames: usize,
-    /// Log records the flight recorder retains.
-    pub flight_events: usize,
-    /// How often the flight ticker snapshots metrics and drains logs.
-    pub flight_interval: Duration,
     /// Enables fleet mode: `POST /dse` jobs dispatch points to remote
     /// workers over the `/fleet/*` endpoints instead of solving them
     /// on the job thread (see [`crate::fleet`]).
@@ -110,11 +97,7 @@ impl Default for ServerConfig {
             queue_depth: 64,
             request_timeout: Duration::from_secs(10),
             max_body_bytes: 64 * 1024,
-            log_file: None,
             diag_dir: PathBuf::from("."),
-            flight_frames: 64,
-            flight_events: 256,
-            flight_interval: Duration::from_millis(500),
             fleet: false,
             lease_ms: 30_000,
             heartbeat_ms: 5_000,
@@ -163,15 +146,6 @@ struct Shared {
     job_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Request ids handed out per accepted request, starting at 1.
     next_request: AtomicU64,
-    /// The flight recorder fed by the ticker thread (and on demand by
-    /// `/statz` and bundle dumps).
-    flight: FlightRecorder,
-    /// Ticker parking spot; `request_stop` notifies it so shutdown is
-    /// not delayed by a full flight interval.
-    tick: Mutex<()>,
-    tick_wake: Condvar,
-    /// Bundle sequence numbers, so repeated dumps never overwrite.
-    next_dump: AtomicU64,
     /// Baseline snapshot taken by `POST /debug/prof/start`; `GET
     /// /debug/prof` profiles the span deltas since it. `None` until a
     /// window is started — then the full-lifetime profile is served.
@@ -190,7 +164,6 @@ impl Shared {
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.wake.notify_all();
-        self.tick_wake.notify_all();
         let _ = TcpStream::connect(self.local_addr);
     }
 }
@@ -204,7 +177,6 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    ticker: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -221,7 +193,6 @@ impl Server {
         let worker_count = std::cmp::max(1, cfg.workers);
         let shared = Arc::new(Shared {
             cache: SolveCache::new(cfg.cache_entries),
-            flight: FlightRecorder::new(cfg.flight_frames, cfg.flight_events),
             fleet: cfg
                 .fleet
                 .then(|| FleetState::new(cfg.lease_ms, cfg.heartbeat_ms)),
@@ -236,9 +207,6 @@ impl Server {
             next_job: AtomicU64::new(0),
             job_handles: Mutex::new(Vec::new()),
             next_request: AtomicU64::new(0),
-            tick: Mutex::new(()),
-            tick_wake: Condvar::new(),
-            next_dump: AtomicU64::new(0),
             prof_baseline: Mutex::new(None),
         });
 
@@ -260,19 +228,10 @@ impl Server {
             }));
         }
 
-        let ticker = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                let _guard = shared.sink.register_worker("serve.flight");
-                ticker_loop(&shared);
-            })
-        };
-
         Ok(Server {
             shared,
             acceptor: Some(acceptor),
             workers,
-            ticker: Some(ticker),
         })
     }
 
@@ -296,21 +255,9 @@ impl Server {
         self.shared.request_stop();
     }
 
-    /// A cloneable handle for out-of-band diagnostics — dumping a
-    /// bundle from a signal-watcher thread, or reading the flight
-    /// recorder after the fact. Stays valid after [`Server::join`]
-    /// consumes the server.
-    #[must_use]
-    pub fn diagnostics(&self) -> Diagnostics {
-        Diagnostics {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Waits for the acceptor, all workers, the flight ticker, and any
-    /// dse job threads to exit, then merges their telemetry into the
-    /// calling thread's collector storage. Returns the number of
-    /// requests served.
+    /// Waits for the acceptor, all workers, and any dse job threads to
+    /// exit, then merges their telemetry into the calling thread's
+    /// collector storage. Returns the number of requests served.
     #[must_use]
     pub fn join(mut self) -> u64 {
         if let Some(acceptor) = self.acceptor.take() {
@@ -318,9 +265,6 @@ impl Server {
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(ticker) = self.ticker.take() {
-            let _ = ticker.join();
         }
         // Jobs see the stop flag as their cancel signal, so after the
         // drain they stop at the next point boundary.
@@ -330,33 +274,6 @@ impl Server {
         }
         self.shared.sink.collect();
         self.shared.served.load(Ordering::SeqCst)
-    }
-}
-
-/// Out-of-band diagnostics handle (see [`Server::diagnostics`]).
-#[derive(Clone)]
-pub struct Diagnostics {
-    shared: Arc<Shared>,
-}
-
-impl Diagnostics {
-    /// Drains pending telemetry into the flight recorder and writes a
-    /// diagnostic bundle tagged with `reason` into the configured
-    /// `diag_dir`, returning its path. This is what a SIGTERM watcher
-    /// calls before exiting.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors creating or writing the bundle.
-    pub fn dump(&self, reason: &str) -> io::Result<PathBuf> {
-        dump_bundle(&self.shared, reason)
-    }
-
-    /// The log records currently retained by the flight recorder
-    /// (oldest first), after draining pending telemetry into it.
-    #[must_use]
-    pub fn recent_events(&self) -> Vec<ia_obs::LogRecord> {
-        pump_flight(&self.shared);
-        self.shared.flight.recent_events()
     }
 }
 
@@ -431,112 +348,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Drains the sink's pending log records (appending to the configured
-/// log file), feeds them to the flight recorder, and snapshots the
-/// merged metrics as a new frame.
-fn pump_flight(shared: &Shared) {
-    let batch = shared.sink.drain_pending_logs();
-    if let Some(path) = &shared.cfg.log_file {
-        if batch.append_to(path).is_err() {
-            counter_add("serve.log.write_errors", 1);
-        }
-    }
-    if batch.dropped > 0 {
-        counter_add("serve.log.dropped", batch.dropped);
-    }
-    shared.flight.record_events(batch.records);
-    shared
-        .flight
-        .record_frame(ia_obs::epoch_now_ns(), shared.sink.peek_snapshot());
-}
-
-/// The flight ticker: pump on every interval until shutdown, then one
-/// final pump so the last frame covers the drain.
-fn ticker_loop(shared: &Shared) {
-    loop {
-        {
-            let guard = lock(&shared.tick);
-            let _ = shared
-                .tick_wake
-                .wait_timeout(guard, shared.cfg.flight_interval)
-                .map(|(g, _)| drop(g));
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        pump_flight(shared);
-    }
-    pump_flight(shared);
-}
-
-/// Renders the effective server configuration for diagnostic bundles.
-fn config_json(cfg: &ServerConfig) -> JsonValue {
-    let u = |n: usize| JsonValue::UInt(u64::try_from(n).unwrap_or(u64::MAX));
-    JsonValue::Obj(vec![
-        ("addr".to_owned(), JsonValue::Str(cfg.addr.clone())),
-        ("workers".to_owned(), u(cfg.workers)),
-        ("cache_entries".to_owned(), u(cfg.cache_entries)),
-        ("queue_depth".to_owned(), u(cfg.queue_depth)),
-        (
-            "request_timeout_ms".to_owned(),
-            JsonValue::UInt(u64::try_from(cfg.request_timeout.as_millis()).unwrap_or(u64::MAX)),
-        ),
-        ("max_body_bytes".to_owned(), u(cfg.max_body_bytes)),
-        (
-            "log_file".to_owned(),
-            cfg.log_file
-                .as_ref()
-                .map_or(JsonValue::Null, |p| JsonValue::Str(p.display().to_string())),
-        ),
-        (
-            "diag_dir".to_owned(),
-            JsonValue::Str(cfg.diag_dir.display().to_string()),
-        ),
-        ("flight_frames".to_owned(), u(cfg.flight_frames)),
-        ("flight_events".to_owned(), u(cfg.flight_events)),
-        (
-            "flight_interval_ms".to_owned(),
-            JsonValue::UInt(u64::try_from(cfg.flight_interval.as_millis()).unwrap_or(u64::MAX)),
-        ),
-        ("fleet".to_owned(), JsonValue::Bool(cfg.fleet)),
-        ("lease_ms".to_owned(), JsonValue::UInt(cfg.lease_ms)),
-        ("heartbeat_ms".to_owned(), JsonValue::UInt(cfg.heartbeat_ms)),
-        (
-            "runs".to_owned(),
-            cfg.runs
-                .as_ref()
-                .map_or(JsonValue::Null, |p| JsonValue::Str(p.display().to_string())),
-        ),
-    ])
-}
-
-/// Writes a diagnostic bundle (`ia-flight-v1`: reason, effective
-/// config, live snapshot, retained frames, recent log records) to
-/// `diag_dir/iarank-diag-<reason>-<n>.json` and returns the path.
-fn dump_bundle(shared: &Shared, reason: &str) -> io::Result<PathBuf> {
-    shared.sink.flush_thread();
-    pump_flight(shared);
-    let snapshot = shared.sink.peek_snapshot();
-    let bundle = shared
-        .flight
-        .bundle(reason, config_json(&shared.cfg), &snapshot);
-    let n = shared.next_dump.fetch_add(1, Ordering::SeqCst);
-    std::fs::create_dir_all(&shared.cfg.diag_dir)?;
-    let path = shared
-        .cfg
-        .diag_dir
-        .join(format!("iarank-diag-{reason}-{n}.json"));
-    let mut text = bundle.render();
-    text.push('\n');
-    std::fs::write(&path, text)?;
-    counter_add("serve.diag.bundles", 1);
-    Ok(path)
-}
-
 fn handle(shared: &Arc<Shared>, mut conn: Conn) {
     counter_add("serve.requests", 1);
     let request_id = shared.next_request.fetch_add(1, Ordering::SeqCst) + 1;
-    let request_hex = obs_log::context_hex(request_id);
+    let request_hex = ia_obs::context_hex(request_id);
     let _ctx = ia_obs::push_context(request_id);
     let request = match http::read_request(
         &mut conn.stream,
@@ -549,14 +364,6 @@ fn handle(shared: &Arc<Shared>, mut conn: Conn) {
             let status = e.status();
             if status != 0 {
                 counter_add(status_counter(status), 1);
-                static READ_ERROR_LOG: RateLimit = RateLimit::new(256, 1_000_000_000);
-                obs_log::log_limited(
-                    &READ_ERROR_LOG,
-                    LogLevel::Warn,
-                    "serve.request",
-                    &e.message(),
-                    vec![("status", JsonValue::UInt(u64::from(status)))],
-                );
                 let response = http::Response::json(status, error_body(&e.message()))
                     .with_header("x-request-id", &request_hex);
                 http::write(&mut conn.stream, &response);
@@ -573,37 +380,15 @@ fn handle(shared: &Arc<Shared>, mut conn: Conn) {
     let response = match outcome {
         Ok(response) => response,
         Err(_) => {
+            // The default panic hook has already printed the message
+            // and location to stderr.
             counter_add("serve.panics", 1);
-            let bundle = dump_bundle(shared, "panic")
-                .map_or(JsonValue::Null, |p| JsonValue::Str(p.display().to_string()));
-            obs_log::log(
-                LogLevel::Error,
-                "serve.request",
-                "request handler panicked",
-                vec![
-                    ("path", JsonValue::Str(request.path.clone())),
-                    ("bundle", bundle),
-                ],
-            );
             http::Response::json(500, error_body("request handler panicked"))
         }
     };
     counter_add(status_counter(response.status), 1);
     let latency_us = conn.accepted.elapsed_ns() / 1_000;
     histogram_record(latency_histogram(&request.path), latency_us);
-    static REQUEST_LOG: RateLimit = RateLimit::new(1024, 1_000_000_000);
-    obs_log::log_limited(
-        &REQUEST_LOG,
-        LogLevel::Info,
-        "serve.request",
-        "request",
-        vec![
-            ("method", JsonValue::Str(request.method.clone())),
-            ("path", JsonValue::Str(request.path.clone())),
-            ("status", JsonValue::UInt(u64::from(response.status))),
-            ("latency_us", JsonValue::UInt(latency_us)),
-        ],
-    );
     let response = response.with_header("x-request-id", &request_hex);
     http::write(&mut conn.stream, &response);
 }
@@ -613,17 +398,14 @@ fn route(shared: &Arc<Shared>, request: &Request, started: &Stopwatch) -> http::
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => json(healthz(shared)),
         ("GET", "/metrics") => metrics(shared, request),
-        ("GET", "/statz") => statz(shared),
         ("POST", "/debug/prof/start") => prof_start(shared),
         ("GET", "/debug/prof") => prof_report(shared),
-        ("POST", "/debug/dump") => debug_dump(shared),
         ("POST", "/debug/panic") => {
-            // Deliberate fault injection so the panic → bundle → 500
-            // path stays testable end to end. `panic_any` (rather than
-            // the `panic!` macro) keeps the request path clean under
-            // the no-panic lint, which targets *accidental* panics;
-            // the worker's catch_unwind turns this into a 500 plus an
-            // on-disk bundle.
+            // Deliberate fault injection so the panic → 500 path stays
+            // testable end to end. `panic_any` (rather than the
+            // `panic!` macro) keeps the request path clean under the
+            // no-panic lint, which targets *accidental* panics; the
+            // worker's catch_unwind turns this into a 500.
             std::panic::panic_any("deliberate panic via /debug/panic")
         }
         ("POST", "/solve") => json(solve_endpoint(shared, &request.body, started)),
@@ -643,9 +425,9 @@ fn route(shared: &Arc<Shared>, request: &Request, started: &Stopwatch) -> http::
         }
         (
             _,
-            "/healthz" | "/metrics" | "/statz" | "/debug/prof" | "/debug/prof/start"
-            | "/debug/dump" | "/debug/panic" | "/solve" | "/sweep" | "/sensitivity" | "/dse"
-            | "/fleet/register" | "/fleet/claim" | "/fleet/result" | "/shutdown",
+            "/healthz" | "/metrics" | "/debug/prof" | "/debug/prof/start" | "/debug/panic"
+            | "/solve" | "/sweep" | "/sensitivity" | "/dse" | "/fleet/register" | "/fleet/claim"
+            | "/fleet/result" | "/shutdown",
         ) => json((
             405,
             error_body(&format!(
@@ -672,23 +454,6 @@ fn fleet_endpoint(shared: &Shared, body: &[u8], action: &str) -> (u16, String) {
         _ => fleet.result(body),
     }
 }
-
-/// `GET /statz`: the flight recorder's last-k counter deltas, after an
-/// on-demand pump so the newest frame is current. In fleet mode the
-/// document also carries a `fleet` block (worker, queue and lease
-/// occupancy).
-fn statz(shared: &Shared) -> http::Response {
-    shared.sink.flush_thread();
-    pump_flight(shared);
-    let mut doc = shared.flight.statz(STATZ_LAST_K);
-    if let (Some(fleet), JsonValue::Obj(fields)) = (&shared.fleet, &mut doc) {
-        fields.push(("fleet".to_owned(), fleet.statz_json()));
-    }
-    http::Response::json(200, doc.render())
-}
-
-/// Deltas rendered by `GET /statz`.
-const STATZ_LAST_K: usize = 16;
 
 /// `POST /debug/prof/start`: open a profiling window — remember the
 /// current merged snapshot so `GET /debug/prof` can report the span
@@ -756,24 +521,6 @@ fn prof_report(shared: &Shared) -> http::Response {
     http::Response::json(200, doc.render())
 }
 
-/// `POST /debug/dump`: write a diagnostic bundle now and report where.
-fn debug_dump(shared: &Shared) -> http::Response {
-    match dump_bundle(shared, "request") {
-        Ok(path) => http::Response::json(
-            200,
-            JsonValue::Obj(vec![
-                ("status".to_owned(), JsonValue::Str("dumped".to_owned())),
-                (
-                    "path".to_owned(),
-                    JsonValue::Str(path.display().to_string()),
-                ),
-            ])
-            .render(),
-        ),
-        Err(e) => http::Response::json(500, error_body(&format!("failed to write bundle: {e}"))),
-    }
-}
-
 fn status_counter(status: u16) -> &'static str {
     match status {
         200 => "serve.http.200",
@@ -804,9 +551,12 @@ fn latency_histogram(path: &str) -> &'static str {
     }
 }
 
+/// `GET /healthz`: liveness plus queue and cache occupancy. In fleet
+/// mode the body ends with a `fleet` block: worker, queue and lease
+/// occupancy.
 fn healthz(shared: &Shared) -> (u16, String) {
     let queued = lock(&shared.queue).len();
-    let body = JsonValue::Obj(vec![
+    let mut fields = vec![
         ("status".to_owned(), JsonValue::Str("ok".to_owned())),
         (
             "workers".to_owned(),
@@ -820,8 +570,11 @@ fn healthz(shared: &Shared) -> (u16, String) {
             "cache_entries".to_owned(),
             JsonValue::UInt(u64::try_from(shared.cache.len()).unwrap_or(0)),
         ),
-    ]);
-    (200, body.render())
+    ];
+    if let Some(fleet) = &shared.fleet {
+        fields.push(("fleet".to_owned(), fleet.healthz_json()));
+    }
+    (200, JsonValue::Obj(fields).render())
 }
 
 fn metrics(shared: &Shared, request: &Request) -> http::Response {
@@ -1182,17 +935,11 @@ fn dse_endpoint(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
 /// the cancel signal, so a graceful drain stops the job at the next
 /// point boundary and its partial result is still readable.
 fn run_dse_job(shared: &Shared, state: &JobState, spec: &ExperimentSpec) {
-    // Correlate everything this job logs or traces on the spec's
+    // Correlate everything this job traces on the spec's
     // content-addressed run id, not the transient HTTP request id — the
     // same spec resubmitted later correlates to the same stream.
     let run_id = spec.run_id();
-    let _ctx = ia_obs::push_context(obs_log::context_for(&run_id));
-    obs_log::log(
-        LogLevel::Info,
-        "serve.dse.job",
-        "dse job started",
-        vec![("run_id", JsonValue::Str(run_id.clone()))],
-    );
+    let _ctx = ia_obs::push_context(ia_obs::context_for(&run_id));
     let cache = ServeDseCache {
         cache: &shared.cache,
     };
@@ -1214,32 +961,8 @@ fn run_dse_job(shared: &Shared, state: &JobState, spec: &ExperimentSpec) {
         None => ia_dse::explore(spec, &cache, &opts),
     };
     let phase = match result {
-        Ok(outcome) => {
-            obs_log::log(
-                LogLevel::Info,
-                "serve.dse.job",
-                "dse job finished",
-                vec![
-                    ("run_id", JsonValue::Str(run_id.clone())),
-                    ("solved", JsonValue::UInt(outcome.solved)),
-                    ("cached", JsonValue::UInt(outcome.cached)),
-                    ("rounds", JsonValue::UInt(outcome.rounds)),
-                ],
-            );
-            JobPhase::Done(dse_result_json(&run_id, &outcome))
-        }
-        Err(e) => {
-            obs_log::log(
-                LogLevel::Error,
-                "serve.dse.job",
-                "dse job failed",
-                vec![
-                    ("run_id", JsonValue::Str(run_id.clone())),
-                    ("error", JsonValue::Str(e.to_string())),
-                ],
-            );
-            JobPhase::Failed(e.to_string())
-        }
+        Ok(outcome) => JobPhase::Done(dse_result_json(&run_id, &outcome)),
+        Err(e) => JobPhase::Failed(e.to_string()),
     };
     *lock(&state.phase) = phase;
     shared.sink.flush_thread();

@@ -1,39 +1,22 @@
-//! End-to-end tests for the telemetry plane: request-id correlation
-//! through logs and spans, the Prometheus text exposition, `/statz`,
-//! and the flight-recorder diagnostic bundles.
+//! End-to-end tests for the telemetry plane: request-id and run-id
+//! correlation through trace events, the Prometheus text exposition,
+//! a panicking handler, and windowed span profiles.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
 use ia_obs::json::JsonValue;
-use ia_obs::log::{context_for, context_hex};
-use ia_obs::LogLevel;
+use ia_obs::{context_for, context_hex};
 use ia_serve::{Server, ServerConfig};
 
-/// A scratch directory unique to one test, wiped on creation.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ia-serve-telemetry-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn start(workers: usize, dir: &std::path::Path) -> Server {
-    // Debug everywhere: the level knob is process-global and Debug is
-    // the lowest level any test needs, so concurrent tests cannot
-    // suppress each other's records.
-    ia_obs::set_log_level(Some(LogLevel::Debug));
+fn start(workers: usize) -> Server {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers,
         request_timeout: Duration::from_millis(10_000),
-        log_file: Some(dir.join("serve.log")),
-        diag_dir: dir.to_path_buf(),
-        flight_interval: Duration::from_millis(25),
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
@@ -80,24 +63,14 @@ fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) 
     exchange(addr, &request_bytes("GET", path, "", &[]))
 }
 
-/// Parses the JSON-lines log file into records.
-fn read_log(path: &std::path::Path) -> Vec<JsonValue> {
-    let text = std::fs::read_to_string(path).expect("read log file");
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| JsonValue::parse(l).expect("log line parses"))
-        .collect()
-}
-
 fn is_request_hex(id: &str) -> bool {
     id.len() == 16 && id.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 #[test]
-fn concurrent_solves_correlate_logs_and_spans_with_request_ids() {
-    let dir = temp_dir("solve-correlation");
+fn concurrent_solves_correlate_spans_with_request_ids() {
     ia_obs::set_trace_enabled(true);
-    let server = start(4, &dir);
+    let server = start(4);
     let addr = server.local_addr();
 
     // Eight distinct configurations so every request computes (no
@@ -127,63 +100,35 @@ fn concurrent_solves_correlate_logs_and_spans_with_request_ids() {
     let distinct: std::collections::BTreeSet<&String> = ids.iter().collect();
     assert_eq!(distinct.len(), ids.len(), "request ids must be unique");
 
-    // Give the last workers a moment to flush, then pump the flight
-    // recorder (which also appends the log file).
-    thread::sleep(Duration::from_millis(200));
-    let diagnostics = server.diagnostics();
-    let events = diagnostics.recent_events();
     server.shutdown();
     let _ = server.join();
 
-    // Every response's id shows up as the `ctx` of a request log
-    // record, and every request record carries *some* ctx.
-    let request_ctxs: std::collections::BTreeSet<String> = events
-        .iter()
-        .filter(|r| r.target == "serve.request")
-        .map(|r| {
-            assert_ne!(r.ctx, 0, "request record without correlation: {r:?}");
-            context_hex(r.ctx)
-        })
-        .collect();
-    for id in &ids {
-        assert!(
-            request_ctxs.contains(id),
-            "request {id} left no correlated log record; saw {request_ctxs:?}"
-        );
-    }
-    // The on-disk JSON lines carry the same correlation.
-    let on_disk = read_log(&dir.join("serve.log"));
-    let disk_ctxs: std::collections::BTreeSet<String> = on_disk
-        .iter()
-        .filter(|r| r.get("target").and_then(JsonValue::as_str) == Some("serve.request"))
-        .filter_map(|r| r.get("ctx").and_then(JsonValue::as_str).map(str::to_owned))
-        .collect();
-    for id in &ids {
-        assert!(disk_ctxs.contains(id), "request {id} missing from log file");
-    }
-
-    // Spans recorded during the requests carry the same ids: after
-    // join() the server's telemetry merged into this thread.
+    // Every response's id is the context of a `serve.request` span and
+    // of the solve it ran: after join() the server's telemetry merged
+    // into this thread.
     let trace = ia_obs::drain_trace();
-    let span_ctxs: std::collections::BTreeSet<String> = trace
-        .events
-        .iter()
-        .filter(|e| e.ctx != 0)
-        .map(|e| context_hex(e.ctx))
-        .collect();
-    for id in &ids {
-        assert!(
-            span_ctxs.contains(id),
-            "request {id} left no correlated span; saw {span_ctxs:?}"
-        );
+    let begun = |name: &'static str| -> std::collections::BTreeSet<String> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.kind == ia_obs::TraceEventKind::Begin(name) && e.ctx != 0)
+            .map(|e| context_hex(e.ctx))
+            .collect()
+    };
+    for span in ["serve.request", "dp.solve"] {
+        let ctxs = begun(span);
+        for id in &ids {
+            assert!(
+                ctxs.contains(id),
+                "request {id} left no correlated `{span}` span; saw {ctxs:?}"
+            );
+        }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn metrics_negotiates_prometheus_text_exposition() {
-    let dir = temp_dir("prometheus");
-    let server = start(2, &dir);
+    let server = start(2);
     let addr = server.local_addr();
     let (status, _, _) = post(addr, "/solve", r#"{"gates":20000,"bunch":2000}"#);
     assert_eq!(status, 200);
@@ -242,96 +187,47 @@ fn metrics_negotiates_prometheus_text_exposition() {
 
     server.shutdown();
     let _ = server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn statz_reports_flight_recorder_deltas() {
-    let dir = temp_dir("statz");
-    let server = start(1, &dir);
+fn a_panicking_handler_answers_500_and_is_counted() {
+    let server = start(2);
     let addr = server.local_addr();
-    let (status, _, _) = post(addr, "/solve", r#"{"gates":20000,"bunch":2000}"#);
-    assert_eq!(status, 200);
-    let (status, _, body) = get(addr, "/statz");
-    assert_eq!(status, 200, "body: {body}");
-    let doc = JsonValue::parse(&body).expect("statz JSON");
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some("ia-statz-v1")
-    );
-    // /statz pumps a frame itself, so at least one is retained.
-    assert!(doc.get("frames").and_then(JsonValue::as_u64) >= Some(1));
-    assert!(doc.get("deltas").and_then(JsonValue::as_array).is_some());
-    server.shutdown();
-    let _ = server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn debug_dump_and_panicking_handler_write_parseable_bundles() {
-    let dir = temp_dir("bundles");
-    let server = start(2, &dir);
-    let addr = server.local_addr();
-    let (status, _, _) = post(addr, "/solve", r#"{"gates":20000,"bunch":2000}"#);
-    assert_eq!(status, 200);
-
-    // An explicit dump names its file and leaves it parseable.
-    let (status, _, body) = post(addr, "/debug/dump", "");
-    assert_eq!(status, 200, "body: {body}");
-    let doc = JsonValue::parse(&body).expect("dump response JSON");
-    assert_eq!(
-        doc.get("status").and_then(JsonValue::as_str),
-        Some("dumped")
-    );
-    let path = doc
-        .get("path")
-        .and_then(JsonValue::as_str)
-        .expect("bundle path");
-    let bundle =
-        JsonValue::parse(&std::fs::read_to_string(path).expect("read bundle")).expect("parses");
-    assert_eq!(
-        bundle.get("schema").and_then(JsonValue::as_str),
-        Some("ia-flight-v1")
-    );
-    assert_eq!(
-        bundle.get("reason").and_then(JsonValue::as_str),
-        Some("request")
-    );
-    assert!(bundle
-        .get("config")
-        .and_then(|c| c.get("workers"))
-        .is_some());
-    assert!(bundle.get("snapshot").is_some());
-
-    // A panicking handler is caught, answers 500 with a request id,
-    // and leaves a bundle tagged `panic` behind.
-    let (status, headers, _) = post(addr, "/debug/panic", "");
-    assert_eq!(status, 500);
+    let (status, headers, body) = post(addr, "/debug/panic", "");
+    assert_eq!(status, 500, "body: {body}");
     assert!(headers.contains_key("x-request-id"));
-    let panic_bundle = std::fs::read_dir(&dir)
-        .expect("read diag dir")
-        .filter_map(Result::ok)
-        .find(|e| e.file_name().to_string_lossy().contains("-panic-"))
-        .expect("panic bundle on disk");
-    let bundle = JsonValue::parse(&std::fs::read_to_string(panic_bundle.path()).expect("read"))
-        .expect("panic bundle parses");
-    assert_eq!(
-        bundle.get("reason").and_then(JsonValue::as_str),
-        Some("panic")
-    );
+    assert!(body.contains("request handler panicked"), "{body}");
+
+    // The worker flushes its counters after writing the response, so
+    // poll until the panic shows on /metrics.
+    let mut panics = 0;
+    for _ in 0..200 {
+        let (status, _, body) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let doc = JsonValue::parse(&body).expect("metrics JSON");
+        panics = doc
+            .get("counters")
+            .and_then(|c| c.get("serve.panics"))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0);
+        if panics >= 1 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert!(panics >= 1, "serve.panics never reached /metrics");
 
     // The server keeps serving after the panic.
     let (status, _, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     server.shutdown();
     let _ = server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn dse_jobs_correlate_on_the_run_id() {
-    let dir = temp_dir("dse-correlation");
-    let server = start(2, &dir);
+    ia_obs::set_trace_enabled(true);
+    let server = start(2);
     let addr = server.local_addr();
     let spec = r#"{"name": "serve-telemetry",
         "base": {"gates": 20000, "bunch": 2000},
@@ -405,30 +301,28 @@ fn dse_jobs_correlate_on_the_run_id() {
         }
     }
 
-    // The job's log records — including those from scheduler worker
-    // threads — carry the run id's correlation context.
-    thread::sleep(Duration::from_millis(200));
-    let events = server.diagnostics().recent_events();
+    // The job's `dse.point` spans, opened on scheduler worker threads,
+    // carry the run id's correlation context.
     server.shutdown();
     let _ = server.join();
-    let want = context_hex(context_for(run_id));
-    let job_records: Vec<_> = events
+    let trace = ia_obs::drain_trace();
+    let want = context_for(run_id);
+    let points: Vec<_> = trace
+        .events
         .iter()
-        .filter(|r| r.target.starts_with("dse.") || r.target == "serve.dse.job")
+        .filter(|e| e.kind == ia_obs::TraceEventKind::Begin(ia_dse::names::SPAN_POINT))
+        .filter(|e| {
+            trace
+                .thread_names
+                .get(&e.tid)
+                .is_some_and(|name| name.starts_with(ia_dse::names::WORKER_PREFIX))
+        })
         .collect();
-    assert!(!job_records.is_empty(), "no dse log records retained");
-    for record in &job_records {
-        assert_eq!(
-            context_hex(record.ctx),
-            want,
-            "uncorrelated dse record: {record:?}"
-        );
-    }
     assert!(
-        job_records.iter().any(|r| r.target == "dse.point"),
-        "scheduler worker records missing: {job_records:?}"
+        points.iter().any(|e| e.ctx == want),
+        "no `dse.point` span from a scheduler worker carries run id {}: {points:?}",
+        context_hex(want)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Finds the node named `name` among `roots`' children-by-path walk.
@@ -447,8 +341,7 @@ fn prof_node<'a>(doc: &'a JsonValue, path: &[&str]) -> Option<&'a JsonValue> {
 
 #[test]
 fn debug_prof_windows_span_activity_under_concurrent_solves() {
-    let dir = temp_dir("prof-window");
-    let server = start(4, &dir);
+    let server = start(4);
     let addr = server.local_addr();
 
     // Warm-up traffic before the window opens.
@@ -541,5 +434,4 @@ fn debug_prof_windows_span_activity_under_concurrent_solves() {
 
     server.shutdown();
     let _ = server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }

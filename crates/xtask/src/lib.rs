@@ -32,8 +32,8 @@
 //!   workers must be joinable at shutdown.
 //! * **L12 `no-raw-logging`** — no `println!` / `eprintln!` /
 //!   `print!` / `eprint!` / `dbg!` in non-test library code outside
-//!   the CLI and bench binaries; diagnostics go through
-//!   `ia_obs::log` so they are leveled, bounded and correlated.
+//!   the CLI and bench binaries: library code returns the error or
+//!   counts it, and the CLI owns stdout and stderr.
 //!
 //! Three rules reason across files over a workspace program model
 //! ([`model`]) of functions, lock sites, call edges and the crate
@@ -271,8 +271,8 @@ pub fn lint_workspace_opts(root: &Path, opts: LintOptions) -> io::Result<Vec<Dia
                 rules::check_raw_timing(rel, file, &mut raw);
             }
             // The CLI owns the process's stdout/stderr and the bench
-            // binaries print their own reports; everything else logs
-            // through `ia_obs::log`.
+            // binaries print their own reports; everything else
+            // returns its errors or counts them.
             if mf.krate != "cli" && mf.krate != "bench" {
                 rules::check_no_raw_logging(rel, file, &mf.krate, &mut raw);
             }

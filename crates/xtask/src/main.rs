@@ -7,7 +7,6 @@
 //! cargo run -p xtask -- check-trace FILE
 //! cargo run -p xtask -- check-spec FILE
 //! cargo run -p xtask -- check-sarif FILE
-//! cargo run -p xtask -- check-logs FILE
 //! cargo run -p xtask -- check-prom FILE
 //! cargo run -p xtask -- check-prof FILE
 //! cargo run -p xtask -- check-corpus FILE
@@ -29,7 +28,6 @@ fn usage() -> ExitCode {
          \x20      ia-lint check-trace FILE\n\
          \x20      ia-lint check-spec FILE\n\
          \x20      ia-lint check-sarif FILE\n\
-         \x20      ia-lint check-logs FILE\n\
          \x20      ia-lint check-prom FILE\n\
          \x20      ia-lint check-prof FILE\n\
          \x20      ia-lint check-corpus FILE\n\
@@ -44,8 +42,6 @@ fn usage() -> ExitCode {
          check-spec validates an ia-dse experiment spec (TOML/JSON);\n\
          check-sarif validates a SARIF 2.1.0 log like `lint --format\n\
          sarif` emits;\n\
-         check-logs validates a structured JSON-lines log file like\n\
-         `--log-file` appends;\n\
          check-prom validates a Prometheus 0.0.4 text exposition like\n\
          `GET /metrics` serves under `Accept: text/plain`;\n\
          check-prof validates a hierarchical profile — the `ia-prof-v1`\n\
@@ -113,9 +109,6 @@ fn main() -> ExitCode {
         Some("check-sarif") if args.len() == 2 => {
             return run_check("check-sarif", &args[1], xtask::schema::check_sarif);
         }
-        Some("check-logs") if args.len() == 2 => {
-            return run_check("check-logs", &args[1], xtask::schema::check_logs);
-        }
         Some("check-prom") if args.len() == 2 => {
             return run_check("check-prom", &args[1], xtask::schema::check_prom);
         }
@@ -126,8 +119,8 @@ fn main() -> ExitCode {
             return run_check("check-corpus", &args[1], xtask::schema::check_corpus);
         }
         Some(
-            "check-metrics" | "check-trace" | "check-spec" | "check-sarif" | "check-logs"
-            | "check-prom" | "check-prof" | "check-corpus",
+            "check-metrics" | "check-trace" | "check-spec" | "check-sarif" | "check-prom"
+            | "check-prof" | "check-corpus",
         ) => return usage(),
         _ => {}
     }

@@ -77,8 +77,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "L12",
         name: "no-raw-logging",
-        summary:
-            "no println!/eprintln!/dbg! outside the CLI and bench binaries; log via ia_obs::log",
+        summary: "no println!/eprintln!/dbg! outside the CLI and bench binaries; \
+                  return or count the error, the CLI owns stdout/stderr",
     },
 ];
 

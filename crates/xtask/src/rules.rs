@@ -447,10 +447,9 @@ pub fn check_bounded_concurrency(
 }
 
 /// L12 `no-raw-logging`: no `println!` / `eprintln!` / `print!` /
-/// `eprint!` / `dbg!` in non-test library code — diagnostics go
-/// through `ia_obs::log` so they are leveled, bounded, rate-limited
-/// and correlated. The CLI binary (the process's actual stdout/stderr
-/// owner) and the bench report binaries are exempt.
+/// `eprint!` / `dbg!` in non-test library code. Library code returns
+/// the error or counts it; the CLI binary owns the process's stdout
+/// and stderr, and it and the bench report binaries are exempt.
 pub fn check_no_raw_logging(
     rel: &Path,
     file: &SourceFile,
@@ -476,8 +475,8 @@ pub fn check_no_raw_logging(
             t.line,
             "no-raw-logging",
             format!(
-                "`{}!` in non-test code of crate `{krate}`; emit a structured record via \
-                 `ia_obs::log` so it is leveled, bounded and correlated (waive with \
+                "`{}!` in non-test code of crate `{krate}`; return the error or count it, \
+                 and leave stdout and stderr to the CLI (waive with \
                  `// lint: no-raw-logging`)",
                 t.text
             ),

@@ -1,22 +1,19 @@
 //! Schema validation for the observability artifacts.
 //!
-//! Five documents are part of the workspace's stable machine-readable
+//! Four documents are part of the workspace's stable machine-readable
 //! surface (`docs/observability.md`):
 //!
 //! * the CLI's `--metrics json` snapshot
 //!   (`{"counters": {...}, "spans": [...], "histograms": [...]}`),
 //! * the Chrome trace-event exports written by `--trace` (a JSON
 //!   array of `B`/`E`/`C`/`M` events),
-//! * the structured log files written by `--log-file` and the serve
-//!   flight pump (JSON lines, one [`ia_obs::log::LogRecord`] per
-//!   line),
 //! * the Prometheus 0.0.4 text exposition served by `GET /metrics`
 //!   under `Accept: text/plain`, and
 //! * the hierarchical profiles written by `--prof-out` and served by
 //!   `GET /debug/prof` — `ia-prof-v1` JSON or folded-stack text.
 //!
-//! CI runs `ia-lint check-metrics` / `check-trace` / `check-logs` /
-//! `check-prom` / `check-prof` on freshly emitted files so schema
+//! CI runs `ia-lint check-metrics` / `check-trace` / `check-prom` /
+//! `check-prof` on freshly emitted files so schema
 //! drift fails the build instead of silently breaking downstream
 //! consumers. The JSON checkers parse with the same
 //! [`ia_obs::json`] tree the exporters render from, so integers are
@@ -369,81 +366,6 @@ pub fn check_spec(text: &str) -> Result<String, String> {
         spec.axes.len(),
         spec.strategy.label(),
         spec.run_id()
-    ))
-}
-
-/// Validates a structured log file (JSON lines, one
-/// [`ia_obs::log::LogRecord`] per line) like `--log-file` and the
-/// serve flight pump append.
-///
-/// Each non-empty line must carry `ts_ns` (unsigned integer), `level`
-/// (one of `error`/`warn`/`info`/`debug`/`trace`), a non-empty
-/// `target`, `msg` and `tid`; optionally `ctx` (16 lowercase hex
-/// digits), a positive `suppressed` count (the writer omits zero) and
-/// a `fields` object.
-///
-/// Returns a one-line summary on success.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation (or parse
-/// error) found, prefixed with its 1-based line number.
-pub fn check_logs(text: &str) -> Result<String, String> {
-    let mut records = 0usize;
-    let mut ctxs: BTreeSet<String> = BTreeSet::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ctx = format!("line {}", i + 1);
-        let doc = JsonValue::parse(line).map_err(|e| format!("{ctx}: invalid JSON: {e}"))?;
-        expect_u64(&doc, "ts_ns", &ctx)?;
-        let level = expect_str(&doc, "level", &ctx)?;
-        if !matches!(level, "error" | "warn" | "info" | "debug" | "trace") {
-            return Err(format!(
-                "{ctx}: `level` must be one of error/warn/info/debug/trace, got `{level}`"
-            ));
-        }
-        let target = expect_str(&doc, "target", &ctx)?;
-        if target.is_empty() {
-            return Err(format!("{ctx}: `target` must be non-empty"));
-        }
-        expect_str(&doc, "msg", &ctx)?;
-        expect_u64(&doc, "tid", &ctx)?;
-        if let Some(correlation) = doc.get("ctx") {
-            let hex = correlation
-                .as_str()
-                .ok_or_else(|| format!("{ctx}: `ctx` must be a string"))?;
-            let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
-            if hex.len() != 16 || !hex.bytes().all(lower_hex) {
-                return Err(format!(
-                    "{ctx}: `ctx` must be 16 lowercase hex digits, got `{hex}`"
-                ));
-            }
-            ctxs.insert(hex.to_owned());
-        }
-        if let Some(suppressed) = doc.get("suppressed") {
-            let n = suppressed
-                .as_u64()
-                .ok_or_else(|| format!("{ctx}: `suppressed` must be an unsigned integer"))?;
-            if n == 0 {
-                return Err(format!("{ctx}: `suppressed` is omitted when zero"));
-            }
-        }
-        if let Some(fields) = doc.get("fields") {
-            if fields.as_object().is_none() {
-                return Err(format!("{ctx}: `fields` must be an object"));
-            }
-        }
-        records += 1;
-    }
-    if records == 0 {
-        return Err("log file has no records (was logging enabled?)".to_owned());
-    }
-    Ok(format!(
-        "log file OK: {records} record(s), {} correlation id(s)",
-        ctxs.len()
     ))
 }
 
@@ -1188,42 +1110,6 @@ mod tests {
             "tool":{"driver":{"name":"ia-lint","rules":[{"id":"x"},{"id":"x"}]}},
             "results":[]}]}"#;
         assert!(check_sarif(dup).unwrap_err().contains("duplicate"));
-    }
-
-    const GOOD_LOGS: &str = concat!(
-        "{\"ts_ns\":42,\"level\":\"info\",\"target\":\"serve.request\",",
-        "\"msg\":\"handled\",\"tid\":7,\"ctx\":\"00000000000000a1\",",
-        "\"suppressed\":2,\"fields\":{\"status\":200}}\n",
-        "{\"ts_ns\":43,\"level\":\"debug\",\"target\":\"dse.round\",",
-        "\"msg\":\"round executed\",\"tid\":1}\n",
-    );
-
-    #[test]
-    fn good_logs_pass() {
-        let summary = check_logs(GOOD_LOGS).unwrap();
-        assert!(summary.contains("2 record(s)"), "{summary}");
-        assert!(summary.contains("1 correlation id(s)"), "{summary}");
-    }
-
-    #[test]
-    fn logs_reject_bad_shapes() {
-        assert!(check_logs("").unwrap_err().contains("no records"));
-        assert!(check_logs("not json\n").unwrap_err().contains("line 1"));
-        let bad_level = r#"{"ts_ns":1,"level":"fatal","target":"t","msg":"m","tid":1}"#;
-        assert!(check_logs(bad_level).unwrap_err().contains("fatal"));
-        let bad_ctx = r#"{"ts_ns":1,"level":"info","target":"t","msg":"m","tid":1,"ctx":"XY"}"#;
-        assert!(check_logs(bad_ctx)
-            .unwrap_err()
-            .contains("16 lowercase hex"));
-        let zero_sup =
-            r#"{"ts_ns":1,"level":"info","target":"t","msg":"m","tid":1,"suppressed":0}"#;
-        assert!(check_logs(zero_sup).unwrap_err().contains("omitted"));
-        let empty_target = r#"{"ts_ns":1,"level":"info","target":"","msg":"m","tid":1}"#;
-        assert!(check_logs(empty_target).unwrap_err().contains("non-empty"));
-        // The line number in the error is 1-based and skips blanks.
-        let second_bad = "\n{\"ts_ns\":1,\"level\":\"info\",\"target\":\"t\",\
-                          \"msg\":\"m\",\"tid\":1}\nbroken";
-        assert!(check_logs(second_bad).unwrap_err().contains("line 3"));
     }
 
     const GOOD_PROM: &str = "\

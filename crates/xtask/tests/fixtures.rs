@@ -236,7 +236,7 @@ fn l12_raw_logging_is_reported() {
     for d in &diags {
         assert_eq!(d.file, Path::new("crates/report/src/lib.rs"));
         assert_eq!(d.rule, "no-raw-logging");
-        assert!(d.message.contains("ia_obs::log"));
+        assert!(d.message.contains("return the error or count it"));
     }
     assert_eq!(diags[0].line, 9);
     assert!(diags[0].message.contains("`println!`"));
