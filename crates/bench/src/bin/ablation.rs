@@ -9,7 +9,7 @@
 //! 4. **DP vs greedy** on the physical baseline.
 
 use ia_arch::Architecture;
-use ia_bench::{baseline_builder, configured_gates, paper_target_model};
+use ia_bench::{baseline_config, configured_gates, paper_target_model};
 use ia_delay::{StageCharging, TargetDelayModel};
 use ia_rank::RankProblem;
 use ia_report::Table;
@@ -119,7 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4: DP vs greedy at the physical baseline.
     println!("— DP vs greedy baseline —");
-    let p = baseline_builder(&node, &arch, GATES).build()?;
+    let bound = baseline_config(GATES).bind()?;
+    let p = bound.builder()?.build()?;
     let dp = p.rank();
     let greedy = p.greedy_rank();
     println!(

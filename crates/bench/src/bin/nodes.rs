@@ -2,18 +2,13 @@
 //! 180 nm and 130 nm and 4M gates at 90 nm (it prints only the 130 nm
 //! results "for space reasons"; this binary fills in the other two).
 
-use ia_arch::Architecture;
-use ia_bench::baseline_builder;
+use ia_bench::baseline_config;
 use ia_obs::Stopwatch;
+use ia_rank::canon::BoundConfig;
 use ia_report::Table;
-use ia_tech::presets;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let runs = [
-        (presets::tsmc180(), 1_000_000u64),
-        (presets::tsmc130(), 1_000_000),
-        (presets::tsmc90(), 4_000_000),
-    ];
+    let runs = [("180", 1_000_000u64), ("130", 1_000_000), ("90", 4_000_000)];
 
     println!("Baseline rank across technology nodes (paper §5.2 experiment set)\n");
     let mut t = Table::new([
@@ -27,14 +22,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "runtime",
     ]);
     for (node, gates) in runs {
-        let arch = Architecture::baseline(&node);
-        let problem = baseline_builder(&node, &arch, gates).build()?;
+        let config = BoundConfig {
+            node: node.to_owned(),
+            ..baseline_config(gates)
+        };
+        let bound = config.bind()?;
+        let problem = bound.builder()?.build()?;
         let sw = Stopwatch::start();
         let r = problem.rank();
         let wall_ns = sw.elapsed_ns();
         let g = problem.greedy_rank();
         t.row([
-            node.name().to_owned(),
+            bound.node.name().to_owned(),
             gates.to_string(),
             r.total_wires().to_string(),
             r.rank().to_string(),

@@ -14,15 +14,19 @@
 //! * `sensitivity` — rank elasticity per Table 4 knob (§6).
 //!
 //! The binaries print tables, not measurements; the repository
-//! benchmark (`perfbench/README.md`) times the same workloads.
+//! benchmark (`perfbench/README.md`) times the same workloads. The text
+//! of `table4`, `equivalence` and `sensitivity` comes from
+//! [`table4_heading`] and [`table4_column`], [`equivalence`] and
+//! [`sensitivity`], which `tests/results_bytes.rs` compares byte for
+//! byte with `docs/results`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ia_arch::Architecture;
 use ia_delay::TargetDelayModel;
-use ia_rank::sweep::SweepPoint;
-use ia_rank::{RankProblem, RankProblemBuilder};
+use ia_rank::canon::{BindError, BoundConfig};
+use ia_rank::sensitivity::sensitivities;
+use ia_rank::sweep::{equivalent_reductions, sweep_axis, Axis, SweepPoint};
 use ia_report::Table;
 use ia_tech::TechnologyNode;
 use ia_wld::WldSpec;
@@ -77,24 +81,18 @@ pub fn paper_target_model(node: &TechnologyNode) -> TargetDelayModel {
     TargetDelayModel::LinearWithFloor { floor }
 }
 
-/// Builds the Table 2 baseline problem builder for a node: baseline
-/// architecture, Davis WLD at the given gate count, bunch size 10 000,
-/// 500 MHz, repeater fraction 0.4, Miller 2.0, node permittivity, and
-/// the paper's linear target-delay rule with full Eq. 3 charging (the
-/// library defaults — the faithful model).
-///
-/// # Panics
-///
-/// Panics if the gate count is below the Davis model's minimum (16).
+/// The Table 2 baseline configuration at `gates`: 130 nm, the baseline
+/// stack, 500 MHz, repeater fraction 0.4, Miller 2.0 and the node's
+/// permittivity, with the paper's bunch size of 10 000 (a tenth of the
+/// gates below 100 000). It binds the library's default target-delay
+/// rule and full Eq. 3 charging, the faithful model.
 #[must_use]
-pub fn baseline_builder<'a>(
-    node: &'a TechnologyNode,
-    arch: &'a Architecture,
-    gates: u64,
-) -> RankProblemBuilder<'a> {
-    RankProblem::builder(node, arch)
-        .wld_spec(WldSpec::new(gates).expect("gate count is large enough"))
-        .bunch_size(PAPER_BUNCH_SIZE.min(gates / 10).max(1))
+pub fn baseline_config(gates: u64) -> BoundConfig {
+    BoundConfig {
+        gates,
+        bunch: PAPER_BUNCH_SIZE.min(gates / 10).max(1),
+        ..BoundConfig::default()
+    }
 }
 
 /// Renders a sweep as a two-column table in the shape of Table 4.
@@ -111,18 +109,117 @@ pub fn sweep_table(axis: &str, points: &[SweepPoint], x_fmt: fn(f64) -> String) 
     t
 }
 
+/// Table 4's heading at `gates`, and the blank line after it.
+#[must_use]
+pub fn table4_heading(gates: u64) -> String {
+    format!(
+        "Table 4 — variation of rank, {gates} gates, 130 nm, p = 0.6, bunch 10 000\n\
+         (paper baseline: K = 3.9, M = 2, R = 0.4, f_c = 500 MHz)\n\n"
+    )
+}
+
+/// One Table 4 column at `gates`: the axis swept over the paper's grid
+/// at the baseline, as a table followed by a blank line.
+///
+/// # Errors
+///
+/// Returns the [`BindError`] of a point that fails to bind or build.
+pub fn table4_column(gates: u64, axis: Axis) -> Result<String, BindError> {
+    let points = sweep_axis(&baseline_config(gates), axis, axis.paper_values())?;
+    let x_fmt: fn(f64) -> String = if axis == Axis::C {
+        |x| format!("{x:.2e}")
+    } else {
+        |x| format!("{x:.2}")
+    };
+    Ok(format!("{}\n", sweep_table(axis.symbol(), &points, x_fmt)))
+}
+
+/// The §5.2 K-vs-M equivalence analysis at `gates`: which Miller-factor
+/// reduction matches each ILD-permittivity reduction of the Table 4
+/// grid, and the headline point nearest the paper's 38 %.
+///
+/// # Errors
+///
+/// Returns the [`BindError`] of a point that fails to bind or build.
+pub fn equivalence(gates: u64) -> Result<String, BindError> {
+    let base = baseline_config(gates);
+    let k = sweep_axis(&base, Axis::K, Axis::K.paper_values())?;
+    let m = sweep_axis(&base, Axis::M, Axis::M.paper_values())?;
+
+    let mut out = format!("K-vs-M equivalence, {gates} gates, 130 nm (paper §5.2)\n\n");
+    let matches = equivalent_reductions(&k, &m);
+    let mut t = Table::new([
+        "K reduction %",
+        "equivalent M reduction %",
+        "normalized rank",
+    ]);
+    for em in &matches {
+        t.row([
+            format!("{:.1}", em.a_reduction_pct),
+            format!("{:.1}", em.b_reduction_pct),
+            format!("{:.6}", em.normalized_rank),
+        ]);
+    }
+    out.push_str(&format!("{t}\n"));
+
+    // The paper's headline point: the K reduction closest to 38 %.
+    if let Some(headline) = matches.iter().min_by(|a, b| {
+        (a.a_reduction_pct - 38.0)
+            .abs()
+            .total_cmp(&(b.a_reduction_pct - 38.0).abs())
+    }) {
+        out.push_str(&format!(
+            "headline: a {:.1}% reduction in K is matched by a {:.1}% reduction in M \
+             (paper: 38% K ≡ ~42.5% M)\n",
+            headline.a_reduction_pct, headline.b_reduction_pct
+        ));
+    }
+    Ok(out)
+}
+
+/// The §6 co-optimization claim at `gates`: the rank's elasticity to
+/// each Table 4 knob at the Table 2 baseline, by ±10 % finite
+/// differences.
+///
+/// # Errors
+///
+/// Returns the [`BindError`] of a point that fails to bind or build.
+pub fn sensitivity(gates: u64) -> Result<String, BindError> {
+    let mut out = format!(
+        "Rank elasticity at the Table 2 baseline, {gates} gates @ 130 nm\n\
+         (relative rank gain per percent of knob improvement, ±10% finite differences)\n\n"
+    );
+    let report = sensitivities(&baseline_config(gates), 0.1)?;
+    let mut t = Table::new(["knob", "at", "elasticity"]);
+    for s in &report {
+        t.row([
+            s.knob.to_string(),
+            format!("{:.3e}", s.at),
+            s.elasticity.to_string(),
+        ]);
+    }
+    out.push_str(&format!("{t}\n"));
+    out.push_str(&format!(
+        "baseline normalized rank: {:.6}\n",
+        report.first().map_or(0.0, |s| s.baseline_normalized)
+    ));
+    out.push_str(
+        "\nNo single knob's elasticity dominates the sum of the others — the\n\
+         co-optimization conclusion of the paper's §6 in one table.\n",
+    );
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ia_tech::presets;
 
     #[test]
-    fn baseline_builder_builds_and_ranks() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let problem = baseline_builder(&node, &arch, 20_000).build().unwrap();
-        let r = problem.rank();
-        assert!(r.rank() <= r.total_wires());
+    fn baseline_config_binds_and_ranks() {
+        let solve = baseline_config(20_000).solve().unwrap();
+        assert!(solve.rank <= solve.total_wires);
+        assert_eq!(baseline_config(20_000).bunch, 2_000);
+        assert_eq!(baseline_config(PAPER_GATES).bunch, PAPER_BUNCH_SIZE);
     }
 
     #[test]

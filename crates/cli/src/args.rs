@@ -11,7 +11,7 @@ use std::fmt;
 /// is the switch's value only when it is `true`, `false`, `1` or `0`
 /// (stored as `true` or `false`). An inline `--flag=value` must be one
 /// of those four.
-pub const SWITCHES: [&str; 4] = ["profile", "parallel", "fleet", "csv"];
+pub const SWITCHES: [&str; 5] = ["profile", "parallel", "fleet", "csv", "detail"];
 
 /// A switch value as stored: `true`/`1` → `true`, `false`/`0` →
 /// `false`, anything else `None`.
@@ -170,15 +170,28 @@ impl ParsedArgs {
     where
         T::Err: fmt::Display,
     {
-        self.consumed.borrow_mut().push(flag.to_owned());
-        match self.options.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|e: T::Err| ArgsError::BadValue {
+        Ok(self.get_opt(flag)?.unwrap_or(default))
+    }
+
+    /// Fetches and parses an optional flag: `None` if absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError::BadValue`] if present but unparsable.
+    pub fn get_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgsError>
+    where
+        T::Err: fmt::Display,
+    {
+        let Some(raw) = self.get_str(flag) else {
+            return Ok(None);
+        };
+        raw.parse()
+            .map(Some)
+            .map_err(|e: T::Err| ArgsError::BadValue {
                 flag: flag.to_owned(),
-                value: raw.clone(),
                 message: e.to_string(),
-            }),
-        }
+                value: raw,
+            })
     }
 
     /// Fetches an optional string flag.
@@ -246,6 +259,15 @@ mod tests {
         assert!(!a.get("csv", true).unwrap());
         assert!(a.get("fleet", false).unwrap());
         assert_eq!(a.get_str("axis").as_deref(), Some("r"));
+        let d = ParsedArgs::parse(["rank", "--detail"]).unwrap();
+        assert!(d.get("detail", false).unwrap());
+        // `yes` is not a switch value, so it stays a positional.
+        let e = ParsedArgs::parse(["rank", "--detail", "yes"]).unwrap();
+        assert!(e.get("detail", false).unwrap());
+        assert!(matches!(
+            e.reject_unknown().unwrap_err(),
+            ArgsError::UnexpectedPositional(tok) if tok == "yes"
+        ));
         // Any other next token stays a positional.
         let b = ParsedArgs::parse(["dse", "--csv", "report"]).unwrap();
         assert_eq!(b.subcommand(), Some("report"));
@@ -279,6 +301,18 @@ mod tests {
     fn defaults_apply_when_flag_absent() {
         let a = ParsedArgs::parse(["rank"]).unwrap();
         assert_eq!(a.get("gates", 42u64).unwrap(), 42);
+        assert_eq!(a.get_opt::<f64>("k").unwrap(), None);
+    }
+
+    #[test]
+    fn optional_flags_parse_or_name_the_bad_value() {
+        let a = ParsedArgs::parse(["rank", "--k", "2.7", "--workers", "x"]).unwrap();
+        assert_eq!(a.get_opt::<f64>("k").unwrap(), Some(2.7));
+        assert_eq!(
+            a.get_opt::<usize>("workers").unwrap_err().to_string(),
+            "bad value `x` for `--workers`: invalid digit found in string"
+        );
+        a.reject_unknown().unwrap();
     }
 
     #[test]

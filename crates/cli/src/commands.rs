@@ -1,16 +1,16 @@
 //! Subcommand implementations for `iarank`.
 
+use std::path::Path;
+
 use crate::args::{ArgsError, ParsedArgs};
-use ia_arch::{Architecture, ArchitectureBuilder};
 use ia_dse::scheduler::{execute, ExecOptions};
 use ia_netlist::{NetModel, Placement};
+use ia_rank::canon::BoundConfig;
 use ia_rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
-use ia_rank::sweep::{Axis, CachedSolve, NoCache};
-use ia_rank::{explain, utilization, RankProblem, RankProblemBuilder};
+use ia_rank::sweep::{self, Axis, NoCache};
+use ia_rank::{explain, utilization};
 use ia_report::Table;
-use ia_tech::TechnologyNode;
-use ia_units::{Frequency, Permittivity};
-use ia_wld::WldSpec;
+use ia_wld::{Wld, WldSpec};
 
 /// Top-level CLI error.
 #[derive(Debug)]
@@ -206,92 +206,68 @@ fn resolve_net_model(args: &ParsedArgs) -> Result<NetModel, CliError> {
     }
 }
 
-/// Resolves `--node 90|130|180` to a preset.
-fn resolve_node(args: &ParsedArgs) -> Result<TechnologyNode, CliError> {
-    let name = args.get_str("node").unwrap_or_else(|| "130".to_owned());
-    match name.trim_start_matches("tsmc") {
-        "90" => Ok(ia_tech::presets::tsmc90()),
-        "130" => Ok(ia_tech::presets::tsmc130()),
-        "180" => Ok(ia_tech::presets::tsmc180()),
-        other => Err(CliError::Domain(format!(
-            "unknown node `{other}` (expected 90, 130 or 180)"
-        ))),
+/// Reads the shared problem flags of `rank`, `sweep` and `optimize`
+/// into a configuration over [`BoundConfig::default`], with the
+/// `--global/--semi-global/--local` pair counts when `stack` is set
+/// (`optimize` searches the stack instead). Also returns the
+/// distribution `--wld` or `--netlist` supplies in place of the
+/// configuration's Davis WLD, read once, here.
+fn problem_flags(args: &ParsedArgs, stack: bool) -> Result<(BoundConfig, Option<Wld>), CliError> {
+    let defaults = BoundConfig::default();
+    let gates = args.get_opt("gates")?;
+    let mut config = BoundConfig {
+        node: args.get_str("node").unwrap_or(defaults.node),
+        gates: gates.unwrap_or(defaults.gates),
+        bunch: args.get("bunch", defaults.bunch)?,
+        clock_mhz: args.get("clock-mhz", defaults.clock_mhz)?,
+        fraction: args.get("fraction", defaults.fraction)?,
+        miller: args.get("miller", defaults.miller)?,
+        k: args.get_opt("k")?,
+        ..defaults
+    };
+    if stack {
+        config.global = args.get("global", config.global)?;
+        config.semi_global = args.get("semi-global", config.semi_global)?;
+        config.local = args.get("local", config.local)?;
     }
-}
-
-/// Builds the architecture from `--global/--semi-global/--local` pair
-/// counts (defaulting to the paper's Table 2 baseline).
-fn resolve_architecture(
-    args: &ParsedArgs,
-    node: &TechnologyNode,
-) -> Result<Architecture, CliError> {
-    let global = args.get("global", 1usize)?;
-    let semi_global = args.get("semi-global", 2usize)?;
-    let local = args.get("local", 0usize)?;
-    ArchitectureBuilder::new(node)
-        .global_pairs(global)
-        .semi_global_pairs(semi_global)
-        .local_pairs(local)
-        .build()
-        .map_err(domain)
-}
-
-/// Applies the shared problem flags to a builder.
-fn configure<'a>(
-    args: &ParsedArgs,
-    mut builder: RankProblemBuilder<'a>,
-) -> Result<RankProblemBuilder<'a>, CliError> {
-    let gates = args.get("gates", 1_000_000u64)?;
     let net_model = resolve_net_model(args)?;
-    if let Some(path) = args.get_str("wld") {
-        let wld = ia_wld::io::read_csv_file(std::path::Path::new(&path)).map_err(domain)?;
-        builder = builder.wld(wld).gates(gates);
+    let wld = if let Some(path) = args.get_str("wld") {
+        Some(ia_wld::io::read_csv_file(Path::new(&path)).map_err(domain)?)
     } else if let Some(path) = args.get_str("netlist") {
-        let placement = Placement::read_file(std::path::Path::new(&path)).map_err(domain)?;
+        let placement = Placement::read_file(Path::new(&path)).map_err(domain)?;
         let wld = placement.to_wld(net_model).map_err(domain)?;
-        // Die sizing uses the placement's own cell count unless --gates
-        // was given explicitly.
-        let cells = placement.cell_count() as u64;
-        builder = builder.wld(wld).gates(if args.get_str("gates").is_some() {
-            gates
-        } else {
-            cells.max(16)
-        });
+        // Die sizing uses the placement's own cell count unless
+        // --gates was given explicitly.
+        if gates.is_none() {
+            config.gates = (placement.cell_count() as u64).max(16);
+        }
+        Some(wld)
     } else {
-        builder = builder.wld_spec(WldSpec::new(gates).map_err(domain)?);
-    }
-    builder = builder.bunch_size(args.get("bunch", 10_000u64)?);
-    builder = builder.clock(Frequency::from_megahertz(args.get("clock-mhz", 500.0f64)?));
-    builder = builder.repeater_fraction(args.get("fraction", 0.4f64)?);
-    builder = builder.miller_factor(args.get("miller", 2.0f64)?);
-    if let Some(k) = args.get_str("k") {
-        let k: f64 = k
-            .parse()
-            .map_err(|e| CliError::Domain(format!("bad --k value: {e}")))?;
-        builder = builder.permittivity(Permittivity::from_relative(k));
-    }
-    Ok(builder)
+        None
+    };
+    Ok((config, wld))
 }
 
 /// `iarank rank`: compute the rank of one configuration.
 pub fn cmd_rank(args: &ParsedArgs) -> Result<String, CliError> {
-    let node = resolve_node(args)?;
-    let architecture = resolve_architecture(args, &node)?;
-    let builder = configure(args, RankProblem::builder(&node, &architecture))?;
-    let detail = args
-        .get_str("detail")
-        .is_some_and(|v| v == "true" || v == "1");
+    let (config, wld) = problem_flags(args, true)?;
+    let detail = args.get("detail", false)?;
     args.reject_unknown()?;
 
-    let problem = builder.build().map_err(domain)?;
+    let bound = config.bind().map_err(domain)?;
+    let builder = match wld {
+        Some(wld) => bound.builder_with_wld(wld),
+        None => bound.builder(),
+    };
+    let problem = builder.map_err(domain)?.build().map_err(domain)?;
     let result = problem.rank();
     let greedy = problem.greedy_rank();
 
     let mut out = String::new();
-    out.push_str(&format!("node         : {}\n", node.name()));
+    out.push_str(&format!("node         : {}\n", bound.node.name()));
     out.push_str(&format!(
         "architecture : {} layer-pairs\n",
-        architecture.len()
+        bound.architecture.len()
     ));
     out.push_str(&format!("die area     : {}\n", problem.die().die_area()));
     out.push_str(&format!("result       : {result}\n"));
@@ -327,30 +303,30 @@ pub fn cmd_rank(args: &ParsedArgs) -> Result<String, CliError> {
 /// column on the dse point executor, with one worker, or one per
 /// available CPU under `--parallel`.
 pub fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
-    let node = resolve_node(args)?;
-    let architecture = resolve_architecture(args, &node)?;
-    let builder = configure(args, RankProblem::builder(&node, &architecture))?;
+    let (config, wld) = problem_flags(args, true)?;
     let axis = args.get_str("axis").unwrap_or_else(|| "k".to_owned());
-    let parallel = args
-        .get_str("parallel")
-        .is_some_and(|v| v == "true" || v == "1");
+    let parallel = args.get("parallel", false)?;
     args.reject_unknown()?;
 
     let axis = Axis::parse(&axis).map_err(domain)?;
     let values = axis.paper_values();
+    let configs = sweep::configs(&config, axis, values).map_err(domain)?;
     let workers = if parallel {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         1
     };
-    let solve = |&x: &f64| -> Result<CachedSolve, CliError> {
-        let problem = axis.apply(builder.clone(), x).build().map_err(domain)?;
-        Ok(CachedSolve::of(&problem, &problem.rank()))
+    let solve = |config: &BoundConfig| {
+        match &wld {
+            Some(wld) => config.solve_with_wld(wld.clone()),
+            None => config.solve(),
+        }
+        .map_err(domain)
     };
     let outcome = execute(
         &ia_serve::api::SWEEP_EXEC,
-        values,
-        &|x: &f64| u128::from(x.to_bits()),
+        &configs,
+        &BoundConfig::cache_key,
         &solve,
         &NoCache,
         &ExecOptions {
@@ -423,9 +399,9 @@ pub fn cmd_netlist(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `iarank optimize`: search stacks by rank within a pair budget.
 pub fn cmd_optimize(args: &ParsedArgs) -> Result<String, CliError> {
-    let node = resolve_node(args)?;
+    let (config, wld) = problem_flags(args, false)?;
     let max_pairs = args.get("max-pairs", 5usize)?;
-    // Consume shared problem flags for configure() below.
+    args.reject_unknown()?;
     let space = StackSearchSpace {
         max_total_pairs: max_pairs,
         global_pairs: 1..=2.min(max_pairs),
@@ -433,15 +409,15 @@ pub fn cmd_optimize(args: &ParsedArgs) -> Result<String, CliError> {
         local_pairs: 0..=2.min(max_pairs),
         semi_global_pitch_scales: vec![1.0, 1.5],
     };
-    // Validate the shared flags once against the baseline stack;
-    // per-candidate builders are configured with the same (validated)
-    // flags inside the optimizer callback.
-    let baseline = Architecture::baseline(&node);
-    configure(args, RankProblem::builder(&node, &baseline))?;
-    args.reject_unknown()?;
-
-    let ranked = optimize_stack(&node, &space, |b| {
-        configure(args, b).expect("flags already validated")
+    let node = config.bind().map_err(domain)?.node;
+    // Every candidate stack ranks the same distribution: the supplied
+    // one, or the configuration's Davis WLD, generated once.
+    let wld = match wld {
+        Some(wld) => wld,
+        None => WldSpec::new(config.gates).map_err(domain)?.generate(),
+    };
+    let ranked = optimize_stack(&node, &space, |builder| {
+        config.knobs(builder.wld(wld.clone()).gates(config.gates))
     })
     .map_err(domain)?;
 
@@ -502,12 +478,11 @@ pub fn cmd_dse(args: &ParsedArgs) -> Result<String, CliError> {
     };
     match action.as_str() {
         "run" => {
+            let opts = dse_options(args)?;
             let Some(spec_path) = args.get_str("spec") else {
                 return Err(CliError::Domain("`dse run` needs `--spec FILE`".to_owned()));
             };
             let runs = args.get_str("runs").unwrap_or_else(|| "runs".to_owned());
-            let workers = args.get_str("workers");
-            let max_points = args.get_str("max-points");
             let remote = args.get_str("workers-remote");
             args.reject_unknown()?;
             let text = std::fs::read_to_string(&spec_path)
@@ -516,20 +491,17 @@ pub fn cmd_dse(args: &ParsedArgs) -> Result<String, CliError> {
             if let Some(coordinator) = remote {
                 return dse_run_remote(&coordinator, &text, &spec);
             }
-            let opts = dse_options(workers, max_points)?;
             let outcome = ia_dse::run(&spec, std::path::Path::new(&runs), &opts).map_err(domain)?;
             Ok(dse_status(&outcome))
         }
         "resume" => {
+            let opts = dse_options(args)?;
             let Some(run_dir) = args.get_str("run") else {
                 return Err(CliError::Domain(
                     "`dse resume` needs `--run DIR`".to_owned(),
                 ));
             };
-            let workers = args.get_str("workers");
-            let max_points = args.get_str("max-points");
             args.reject_unknown()?;
-            let opts = dse_options(workers, max_points)?;
             let outcome = ia_dse::resume(std::path::Path::new(&run_dir), &opts).map_err(domain)?;
             Ok(dse_status(&outcome))
         }
@@ -556,26 +528,14 @@ pub fn cmd_dse(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// Parses the optional `--workers`/`--max-points` overrides into
+/// Reads the optional `--workers`/`--max-points` overrides into
 /// engine options.
-fn dse_options(
-    workers: Option<String>,
-    max_points: Option<String>,
-) -> Result<ia_dse::RunOptions<'static>, CliError> {
-    let mut opts = ia_dse::RunOptions::default();
-    if let Some(raw) = workers {
-        opts.workers = Some(
-            raw.parse::<usize>()
-                .map_err(|e| CliError::Domain(format!("bad --workers value `{raw}`: {e}")))?,
-        );
-    }
-    if let Some(raw) = max_points {
-        opts.budget = Some(
-            raw.parse::<u64>()
-                .map_err(|e| CliError::Domain(format!("bad --max-points value `{raw}`: {e}")))?,
-        );
-    }
-    Ok(opts)
+fn dse_options(args: &ParsedArgs) -> Result<ia_dse::RunOptions<'static>, CliError> {
+    Ok(ia_dse::RunOptions {
+        workers: args.get_opt("workers")?,
+        budget: args.get_opt("max-points")?,
+        ..ia_dse::RunOptions::default()
+    })
 }
 
 /// `dse run --workers-remote ADDR`: submit the spec to a fleet
@@ -678,26 +638,13 @@ fn corpus_status(outcome: &ia_corpus::RunOutcome) -> String {
     out
 }
 
-/// Parses the optional `--workers`/`--max-points` overrides into
-/// corpus engine options.
-fn corpus_options(
-    workers: Option<String>,
-    max_points: Option<String>,
-) -> Result<ia_corpus::RunOptions, CliError> {
-    let mut opts = ia_corpus::RunOptions::default();
-    if let Some(raw) = workers {
-        opts.workers = Some(
-            raw.parse::<usize>()
-                .map_err(|e| CliError::Domain(format!("bad --workers value `{raw}`: {e}")))?,
-        );
-    }
-    if let Some(raw) = max_points {
-        opts.budget = Some(
-            raw.parse::<u64>()
-                .map_err(|e| CliError::Domain(format!("bad --max-points value `{raw}`: {e}")))?,
-        );
-    }
-    Ok(opts)
+/// Reads the optional `--workers`/`--max-points` overrides into corpus
+/// engine options.
+fn corpus_options(args: &ParsedArgs) -> Result<ia_corpus::RunOptions, CliError> {
+    Ok(ia_corpus::RunOptions {
+        workers: args.get_opt("workers")?,
+        budget: args.get_opt("max-points")?,
+    })
 }
 
 /// `iarank corpus run|resume|report`: real-design corpus workloads —
@@ -711,33 +658,29 @@ pub fn cmd_corpus(args: &ParsedArgs) -> Result<String, CliError> {
     };
     match action.as_str() {
         "run" => {
+            let opts = corpus_options(args)?;
             let Some(spec_path) = args.get_str("spec") else {
                 return Err(CliError::Domain(
                     "`corpus run` needs `--spec FILE`".to_owned(),
                 ));
             };
             let runs = args.get_str("runs").unwrap_or_else(|| "runs".to_owned());
-            let workers = args.get_str("workers");
-            let max_points = args.get_str("max-points");
             args.reject_unknown()?;
             let text = std::fs::read_to_string(&spec_path)
                 .map_err(|e| CliError::Domain(format!("cannot read spec {spec_path}: {e}")))?;
             let spec = ia_corpus::CorpusSpec::parse_str(&text).map_err(domain)?;
-            let opts = corpus_options(workers, max_points)?;
             let outcome =
                 ia_corpus::run(&spec, std::path::Path::new(&runs), &opts).map_err(domain)?;
             Ok(corpus_status(&outcome))
         }
         "resume" => {
+            let opts = corpus_options(args)?;
             let Some(run_dir) = args.get_str("run") else {
                 return Err(CliError::Domain(
                     "`corpus resume` needs `--run DIR`".to_owned(),
                 ));
             };
-            let workers = args.get_str("workers");
-            let max_points = args.get_str("max-points");
             args.reject_unknown()?;
-            let opts = corpus_options(workers, max_points)?;
             let (_, outcome) =
                 ia_corpus::resume(std::path::Path::new(&run_dir), &opts).map_err(domain)?;
             Ok(corpus_status(&outcome))
@@ -846,6 +789,9 @@ SHARED FLAGS (rank, sweep, optimize):
   --miller F               Miller coupling factor       [2.0]
   --k F                    ILD permittivity override    [node default]
   --global/--semi-global/--local N   stack pair counts  [1/2/0]
+  --detail                 (rank only) also print the per-pair
+                           utilization table (--detail true also
+                           accepted)
   --parallel               (sweep only) solve on one worker thread per
                            available CPU instead of one; worker
                            telemetry is merged into the caller's

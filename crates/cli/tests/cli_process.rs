@@ -1,6 +1,7 @@
 //! End-to-end tests of the installed `iarank` binary via a real process
 //! (argument handling, exit codes, stdout/stderr separation, and what
-//! one `/sweep` request may cost a running `iarank serve`).
+//! one `/sweep` or `/sensitivity` request may cost a running `iarank
+//! serve`).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -77,12 +78,27 @@ fn malformed_flags_exit_with_code_two() {
 
 #[test]
 fn bad_flag_value_exits_nonzero() {
-    let out = iarank()
-        .args(["rank", "--gates", "plenty"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("plenty"));
+    let cases: [(&[&str], &str); 4] = [
+        (&["rank", "--gates", "plenty"], "plenty"),
+        (
+            &["rank", "--k", "abc"],
+            "bad value `abc` for `--k`: invalid float literal",
+        ),
+        (
+            &["rank", "--miller", "abc"],
+            "bad value `abc` for `--miller`: invalid float literal",
+        ),
+        (
+            &["dse", "run", "--workers", "x"],
+            "bad value `x` for `--workers`: invalid digit found in string",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = iarank().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -120,6 +136,23 @@ fn boolean_switches_take_an_explicit_value() {
     let profiled = run_ok(&[&sweep[..], &["--profile", "true"]].concat());
     assert!(profiled.starts_with(&parallel), "{profiled}");
     assert!(profiled.len() > parallel.len(), "a profile was printed");
+
+    // `--detail` stands alone too; any other next token is a stray
+    // argument, not a value that quietly drops the table.
+    let rank = ["rank", "--gates", "30000", "--bunch", "3000"];
+    let bare = run_ok(&[&rank[..], &["--detail"]].concat());
+    assert!(bare.contains("util %"), "{bare}");
+    assert_eq!(run_ok(&[&rank[..], &["--detail", "true"]].concat()), bare);
+    assert_eq!(
+        run_ok(&[&rank[..], &["--detail", "0"]].concat()),
+        run_ok(&rank)
+    );
+    let out = iarank()
+        .args([&rank[..], &["--detail", "yes"]].concat())
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `yes`"));
 }
 
 /// The number of threads the process `pid` runs now (0 where there is
@@ -242,5 +275,23 @@ fn a_parallel_sweep_is_bounded_by_the_workers_and_the_deadline() {
     assert!(
         misses < 40,
         "{misses} of 40 points solved past the deadline"
+    );
+}
+
+#[test]
+fn a_sensitivity_stops_within_one_solve_of_its_deadline() {
+    let (_server, addr) = serve(&["--workers", "2", "--request-timeout-ms", "200"]);
+    // Nine solves at 1M gates take seconds; the deadline is 200 ms.
+    let (status, text) = client::post_json(&addr, "/sensitivity", "{}", Duration::from_secs(120))
+        .expect("sensitivity request");
+    assert_eq!(status, 503, "{text}");
+    assert!(
+        text.contains("deadline exceeded during sensitivity"),
+        "{text}"
+    );
+    let misses = settled_counter(&addr, "serve.http.503", "sweep.cache.misses");
+    assert!(
+        (1..9).contains(&misses),
+        "{misses} of 9 points solved for a request past its deadline"
     );
 }

@@ -13,12 +13,19 @@
 //! Both the HTTP serving layer and the design-space-exploration engine
 //! key their caches and run stores through this module, so a point
 //! solved by one is a content-addressed hit for the other and the two
-//! layers cannot drift. [`BoundConfig::with`] is the one setter that
-//! rebinds a [`Knob`] to a value.
+//! layers cannot drift.
+//!
+//! [`BoundConfig`] is the one way any surface names a knob: the CLI,
+//! every HTTP endpoint, dse and corpus specs, sweeps, sensitivities and
+//! the paper binaries all build one. [`BoundConfig::with`] is the one
+//! setter that rebinds a [`Knob`] to a value, and
+//! [`BoundConfig::knobs`] the one mapping from a configuration to
+//! [`RankProblemBuilder`] setters.
 
 use ia_arch::{Architecture, ArchitectureBuilder};
 use ia_tech::TechnologyNode;
 use ia_units::convert::f64_to_u64_checked;
+use ia_units::{Frequency, Permittivity};
 use ia_wld::{Degradation, DegradeKind, Wld, WldSpec};
 
 use crate::sweep::{Axis, CachedSolve};
@@ -305,6 +312,24 @@ impl BoundConfig {
         })
     }
 
+    /// Applies the configuration's scalar knobs to a builder: the bunch
+    /// size, the clock, the Table 4 `M` and `R`, and `K` when it is
+    /// set. This is the one mapping from a configuration to builder
+    /// setters; the builder's own defaults are the same Table 2 values
+    /// as [`BoundConfig::default`].
+    #[must_use]
+    pub fn knobs<'p>(&self, builder: RankProblemBuilder<'p>) -> RankProblemBuilder<'p> {
+        let builder = builder
+            .bunch_size(self.bunch)
+            .clock(Frequency::from_megahertz(self.clock_mhz))
+            .repeater_fraction(self.fraction)
+            .miller_factor(self.miller);
+        match self.k {
+            Some(k) => builder.permittivity(Permittivity::from_relative(k)),
+            None => builder,
+        }
+    }
+
     /// Binds and solves this configuration from scratch — the
     /// cache-miss path of every cached layer above.
     ///
@@ -360,8 +385,8 @@ pub struct BoundProblem {
 }
 
 impl BoundProblem {
-    /// Starts a [`RankProblemBuilder`] with every knob of the
-    /// configuration applied.
+    /// Starts a [`RankProblemBuilder`] over the configuration's Davis
+    /// WLD with every knob of the configuration applied.
     ///
     /// # Errors
     ///
@@ -371,7 +396,7 @@ impl BoundProblem {
             WldSpec::new(self.config.gates).map_err(|e| BindError::Invalid(e.to_string()))?;
         if self.config.degrade == 1.0 {
             let builder = RankProblem::builder(&self.node, &self.architecture).wld_spec(spec);
-            return Ok(self.knobs(builder));
+            return Ok(self.config.knobs(builder));
         }
         // The corpus stress axis: generate the pristine Davis
         // distribution, then degrade it like any supplied WLD.
@@ -404,18 +429,7 @@ impl BoundProblem {
         let builder = RankProblem::builder(&self.node, &self.architecture)
             .wld(wld)
             .gates(self.config.gates);
-        Ok(self.knobs(builder))
-    }
-
-    /// Applies the configuration's scalar knobs to a builder.
-    fn knobs<'p>(&'p self, builder: RankProblemBuilder<'p>) -> RankProblemBuilder<'p> {
-        Axis::ALL.into_iter().fold(
-            builder.bunch_size(self.config.bunch),
-            |builder, axis| match axis.get(&self.config) {
-                Some(x) => axis.apply(builder, x),
-                None => builder,
-            },
-        )
+        Ok(self.config.knobs(builder))
     }
 }
 
@@ -578,6 +592,29 @@ mod tests {
         };
         let err = config.solve().expect_err("γ < 1 must be rejected");
         assert!(matches!(err, BindError::Invalid(_)));
+    }
+
+    #[test]
+    fn the_default_knobs_are_the_builder_defaults() {
+        let config = BoundConfig {
+            gates: 20_000,
+            bunch: 2_000,
+            ..BoundConfig::default()
+        };
+        let node = ia_tech::presets::tsmc130();
+        let architecture = Architecture::baseline(&node);
+        let plain = RankProblem::builder(&node, &architecture)
+            .wld_spec(WldSpec::new(20_000).unwrap())
+            .bunch_size(2_000)
+            .build()
+            .unwrap();
+        let expected = CachedSolve::of(&plain, &plain.rank());
+        assert_eq!(config.solve().unwrap(), expected);
+        // An explicit K equal to the node's 3.9 binds the same problem
+        // under a different content address.
+        let explicit = config.clone().with(Knob::K, 3.9).unwrap();
+        assert_eq!(explicit.solve().unwrap(), expected);
+        assert_ne!(explicit.cache_key(), config.cache_key());
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! The paper's conclusions argue that no single lever (material,
 //! process, or design) can enable future designs alone — they must be
 //! *co-optimized*. This module quantifies that statement at any
-//! operating point: the relative rank gain per percent of improvement
+//! configuration: the relative rank gain per percent of improvement
 //! in each knob (ILD permittivity, Miller factor, clock, repeater
-//! fraction), estimated by symmetric finite differences on rebuilt
-//! problems.
+//! fraction), estimated by symmetric finite differences.
+//!
+//! An estimate is nine solves: [`points`] returns their
+//! [`BoundConfig`]s and [`elasticities`] turns their normalized ranks
+//! into one [`KnobSensitivity`] per knob. [`sensitivities`] solves the
+//! nine in series; `POST /sensitivity` runs them as one batch on the
+//! dse point executor against the server's solve cache.
 
-use crate::canon::BoundConfig;
-use crate::sweep::Axis;
-use crate::{RankError, RankProblemBuilder};
+use crate::canon::{BindError, BoundConfig};
+use crate::sweep::{self, Axis};
+use ia_units::Permittivity;
 use serde::{Deserialize, Serialize};
 
 /// Rank elasticity to one knob: the relative rank gain per percent of
@@ -60,62 +65,9 @@ pub struct KnobSensitivity {
     pub elasticity: Elasticity,
 }
 
-/// The operating point at which to evaluate sensitivities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OperatingPoint {
-    /// ILD permittivity `K`.
-    pub permittivity: f64,
-    /// Miller coupling factor.
-    pub miller_factor: f64,
-    /// Clock frequency in hertz.
-    pub clock_hz: f64,
-    /// Repeater-area fraction.
-    pub repeater_fraction: f64,
-}
-
-impl OperatingPoint {
-    /// The paper's Table 2 baseline.
-    #[must_use]
-    pub fn paper_baseline() -> Self {
-        Self {
-            permittivity: 3.9,
-            miller_factor: 2.0,
-            clock_hz: 5.0e8,
-            repeater_fraction: 0.4,
-        }
-    }
-
-    /// The operating point `config` binds. An unset `K` falls back to
-    /// the paper's 3.9 baseline.
-    #[must_use]
-    pub fn of(config: &BoundConfig) -> Self {
-        let mut point = Self::paper_baseline();
-        for axis in Axis::ALL {
-            if let Some(x) = axis.get(config) {
-                point.set(axis, x);
-            }
-        }
-        point
-    }
-
-    fn get(&self, axis: Axis) -> f64 {
-        match axis {
-            Axis::K => self.permittivity,
-            Axis::M => self.miller_factor,
-            Axis::C => self.clock_hz,
-            Axis::R => self.repeater_fraction,
-        }
-    }
-
-    fn set(&mut self, axis: Axis, x: f64) {
-        match axis {
-            Axis::K => self.permittivity = x,
-            Axis::M => self.miller_factor = x,
-            Axis::C => self.clock_hz = x,
-            Axis::R => self.repeater_fraction = x,
-        }
-    }
-}
+/// How many configurations [`points`] returns: the base, then a low and
+/// a high point for each Table 4 knob.
+pub const POINTS: usize = 1 + 2 * Axis::ALL.len();
 
 /// Improving direction: −1 for knobs where smaller is better, +1 for
 /// the repeater fraction.
@@ -126,20 +78,74 @@ fn improvement_sign(axis: Axis) -> f64 {
     }
 }
 
-/// Computes the normalized rank at an operating point.
-fn normalized_at(
-    builder: &RankProblemBuilder<'_>,
-    point: &OperatingPoint,
-) -> Result<f64, RankError> {
-    let builder = Axis::ALL
-        .into_iter()
-        .fold(builder.clone(), |b, axis| axis.apply(b, point.get(axis)));
-    Ok(builder.build()?.rank().normalized())
+/// The knob's value in `base`, in axis units. An unset `K` is the
+/// preset nodes' silicon-dioxide ILD, 3.9.
+fn at(base: &BoundConfig, axis: Axis) -> f64 {
+    axis.get(base)
+        .unwrap_or_else(|| Permittivity::SILICON_DIOXIDE.relative())
 }
 
-/// Estimates the rank's elasticity to every Table 4 knob at `point`,
+/// The [`POINTS`] configurations a sensitivity estimate solves: `base`
+/// itself, then each Table 4 knob at `1 − step` and `1 + step` times
+/// its value, in Table 4 order. The base keeps its fields as given, so
+/// it has the content address of a `/solve` of the same fields.
+///
+/// # Errors
+///
+/// Returns [`BindError::Invalid`] when a perturbed value is not finite.
+pub fn points(
+    base: &BoundConfig,
+    step: f64, // lint: raw-f64 (dimensionless relative step)
+) -> Result<Vec<BoundConfig>, BindError> {
+    let mut configs = Vec::with_capacity(POINTS);
+    configs.push(base.clone());
+    for axis in Axis::ALL {
+        let value = at(base, axis);
+        let perturbed = [value * (1.0 - step), value * (1.0 + step)];
+        configs.extend(sweep::configs(base, axis, &perturbed)?);
+    }
+    Ok(configs)
+}
+
+/// The rank's elasticity to every Table 4 knob at `base`, from the
+/// normalized ranks of the [`points`] of `base` and `step`, in their
+/// order.
+#[must_use]
+pub fn elasticities(
+    base: &BoundConfig,
+    step: f64, // lint: raw-f64 (dimensionless relative step)
+    normalized: &[f64; POINTS],
+) -> Vec<KnobSensitivity> {
+    let baseline = normalized[0];
+    Axis::ALL
+        .into_iter()
+        .zip(normalized[1..].chunks_exact(2))
+        .map(|(knob, pair)| {
+            let (r_lo, r_hi) = (pair[0], pair[1]);
+            // Relative rank change per relative knob change, oriented
+            // so that improving the knob gives a positive elasticity. A
+            // zero baseline admits no relative change: report it as
+            // such instead of dividing by an epsilon.
+            let elasticity = if baseline > 0.0 {
+                let d_rank = (r_hi - r_lo) / baseline;
+                let d_knob = 2.0 * step;
+                Elasticity::Finite(d_rank / d_knob * improvement_sign(knob))
+            } else {
+                Elasticity::Undefined
+            };
+            KnobSensitivity {
+                knob,
+                at: at(base, knob),
+                baseline_normalized: baseline,
+                elasticity,
+            }
+        })
+        .collect()
+}
+
+/// Estimates the rank's elasticity to every Table 4 knob at `base`,
 /// using symmetric finite differences of relative size `step`
-/// (e.g. 0.1 = ±10 %).
+/// (e.g. 0.1 = ±10 %): the [`points`] are solved in series, uncached.
 ///
 /// Because the rank moves in bunch-sized steps, use a `step` large
 /// enough to cross at least one bunch boundary at your problem scale
@@ -147,106 +153,85 @@ fn normalized_at(
 ///
 /// # Errors
 ///
-/// Propagates any [`RankError`] from rebuilding the problems.
+/// Returns the first [`BindError`] from building or binding a point.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use ia_rank::sensitivity::{sensitivities, OperatingPoint};
-/// use ia_rank::RankProblem;
-/// use ia_arch::Architecture;
-/// use ia_tech::presets;
-/// use ia_wld::WldSpec;
+/// use ia_rank::canon::BoundConfig;
+/// use ia_rank::sensitivity::sensitivities;
 ///
-/// let node = presets::tsmc130();
-/// let arch = Architecture::baseline(&node);
-/// let builder = RankProblem::builder(&node, &arch)
-///     .wld_spec(WldSpec::new(1_000_000)?)
-///     .bunch_size(10_000);
-/// let report = sensitivities(&builder, &OperatingPoint::paper_baseline(), 0.1)?;
+/// // The Table 2 baseline at 1M gates, 130 nm.
+/// let report = sensitivities(&BoundConfig::default(), 0.1)?;
 /// for s in &report {
 ///     println!("{}: {}", s.knob, s.elasticity);
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn sensitivities(
-    builder: &RankProblemBuilder<'_>,
-    point: &OperatingPoint,
+    base: &BoundConfig,
     step: f64, // lint: raw-f64 (dimensionless relative step)
-) -> Result<Vec<KnobSensitivity>, RankError> {
+) -> Result<Vec<KnobSensitivity>, BindError> {
     let _span = crate::telemetry::span(crate::telemetry::names::SPAN_SENSITIVITY);
-    let baseline = normalized_at(builder, point)?;
-    let mut out = Vec::with_capacity(Axis::ALL.len());
-    for knob in Axis::ALL {
-        let value = point.get(knob);
-        let mut lo = *point;
-        let mut hi = *point;
-        lo.set(knob, value * (1.0 - step));
-        hi.set(knob, value * (1.0 + step));
-        let r_lo = normalized_at(builder, &lo)?;
-        let r_hi = normalized_at(builder, &hi)?;
-        // Relative rank change per relative knob change, oriented so
-        // that improving the knob gives a positive elasticity. A zero
-        // baseline admits no relative change: report it as such
-        // instead of dividing by an epsilon.
-        let elasticity = if baseline > 0.0 {
-            let d_rank = (r_hi - r_lo) / baseline;
-            let d_knob = 2.0 * step;
-            Elasticity::Finite(d_rank / d_knob * improvement_sign(knob))
-        } else {
-            Elasticity::Undefined
-        };
-        out.push(KnobSensitivity {
-            knob,
-            at: value,
-            baseline_normalized: baseline,
-            elasticity,
-        });
+    let mut normalized = [0.0; POINTS];
+    for (slot, config) in normalized.iter_mut().zip(points(base, step)?) {
+        *slot = config.solve()?.normalized;
     }
-    Ok(out)
+    Ok(elasticities(base, step, &normalized))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RankProblem;
-    use ia_arch::Architecture;
-    use ia_tech::presets;
-    use ia_wld::WldSpec;
+
+    fn at_200k() -> BoundConfig {
+        BoundConfig {
+            gates: 200_000,
+            bunch: 5_000,
+            ..BoundConfig::default()
+        }
+    }
 
     #[test]
-    fn operating_point_reads_a_configuration() {
-        let config = BoundConfig {
+    fn points_perturb_one_knob_each_around_the_base() {
+        let base = BoundConfig {
             miller: 1.5,
             clock_mhz: 700.0,
             ..BoundConfig::default()
         };
-        let point = OperatingPoint::of(&config);
-        assert!((point.permittivity - 3.9).abs() < 1e-12, "unset K is 3.9");
-        assert!((point.miller_factor - 1.5).abs() < 1e-12);
-        assert!((point.clock_hz - 7.0e8).abs() < 1e-3);
-        assert!((point.repeater_fraction - 0.4).abs() < 1e-12);
+        let configs = points(&base, 0.1).unwrap();
+        assert_eq!(configs.len(), POINTS);
+        assert_eq!(configs[0], base, "the base comes first, unchanged");
+        for (axis, pair) in Axis::ALL.into_iter().zip(configs[1..].chunks_exact(2)) {
+            let value = at(&base, axis);
+            let (lo, hi) = (axis.get(&pair[0]).unwrap(), axis.get(&pair[1]).unwrap());
+            assert!((lo / value - 0.9).abs() < 1e-12, "{axis}: {lo}");
+            assert!((hi / value - 1.1).abs() < 1e-12, "{axis}: {hi}");
+            for other in Axis::ALL.into_iter().filter(|&other| other != axis) {
+                assert_eq!(other.get(&pair[0]), other.get(&base), "{axis}");
+                assert_eq!(other.get(&pair[1]), other.get(&base), "{axis}");
+            }
+        }
+        // An unset K is perturbed around 3.9.
+        assert_eq!(configs[1].k, Some(3.9 * 0.9));
+        assert_eq!(at(&base, Axis::C), 7.0e8);
     }
 
     #[test]
-    fn baseline_point_matches_table2() {
-        let p = OperatingPoint::paper_baseline();
-        assert!((p.permittivity - 3.9).abs() < 1e-12);
-        assert!((p.miller_factor - 2.0).abs() < 1e-12);
-        assert!((p.clock_hz - 5e8).abs() < 1e-3);
-        assert!((p.repeater_fraction - 0.4).abs() < 1e-12);
+    fn a_zero_baseline_has_no_elasticity() {
+        let base = BoundConfig::default();
+        let mut normalized = [0.1; POINTS];
+        normalized[0] = 0.0;
+        let report = elasticities(&base, 0.1, &normalized);
+        assert_eq!(report.len(), 4);
+        assert!(report.iter().all(|s| s.elasticity == Elasticity::Undefined));
     }
 
     #[test]
     fn elasticities_have_the_expected_signs_at_scale() {
         // 200k gates is enough for the budget-limited regime where all
         // four knobs act in their paper direction.
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let builder = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(200_000).unwrap())
-            .bunch_size(5_000);
-        let report = sensitivities(&builder, &OperatingPoint::paper_baseline(), 0.15).unwrap();
+        let report = sensitivities(&at_200k(), 0.15).unwrap();
         assert_eq!(report.len(), 4);
         for s in &report {
             assert!(s.baseline_normalized > 0.0);
@@ -272,12 +257,7 @@ mod tests {
     fn no_single_knob_dominates_completely() {
         // The paper's co-optimization message: at the baseline, at
         // least two knobs have non-zero leverage.
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let builder = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(200_000).unwrap())
-            .bunch_size(5_000);
-        let report = sensitivities(&builder, &OperatingPoint::paper_baseline(), 0.2).unwrap();
+        let report = sensitivities(&at_200k(), 0.2).unwrap();
         let active = report
             .iter()
             .filter(|s| s.elasticity.value().is_some_and(|e| e.abs() > 1e-6))

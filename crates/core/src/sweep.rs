@@ -1,19 +1,19 @@
 //! Table 4 parameter sweeps and the K-vs-M equivalence analysis.
 //!
 //! [`Axis`] names the four Table 4 columns: their labels, the paper's
-//! grids, and the one way a swept value is applied to a
-//! [`RankProblemBuilder`].
+//! grids and the [`Knob`] each one sweeps. [`configs`] is the one place
+//! a swept value is set: each value becomes the base [`BoundConfig`]
+//! with that knob rebound by [`BoundConfig::with`].
 //!
-//! [`sweep_axis`] is the serial library sweep. Batches of points —
-//! parallel sweeps, `/sweep` requests, dse and corpus runs — run on
-//! `ia_dse::scheduler::execute`, which consults a [`PointCache`] of
-//! [`CachedSolve`]s under each point's content address; this crate
-//! starts no thread.
+//! [`sweep_axis`] solves those configurations serially. Batches of
+//! points — `iarank sweep`, `/sweep` and `/sensitivity` requests, dse
+//! and corpus runs — run on `ia_dse::scheduler::execute`, which
+//! consults a [`PointCache`] of [`CachedSolve`]s under each point's
+//! content address; this crate starts no thread.
 
 use crate::canon::{BindError, BoundConfig, Knob};
 use crate::telemetry::{self, names};
-use crate::{RankError, RankProblem, RankProblemBuilder, RankResult};
-use ia_units::{Frequency, Permittivity};
+use crate::{RankProblem, RankResult};
 use serde::{Deserialize, Serialize};
 
 /// A Table 4 sweep axis. Swept values are in the axis' own units,
@@ -117,19 +117,6 @@ impl Axis {
             Axis::R => config.fraction,
         };
         Some(value * self.scale())
-    }
-
-    /// Sets this axis to `x` (axis units) on a problem builder — the
-    /// one builder setter for the Table 4 knobs.
-    #[must_use]
-    // lint: raw-f64 (the swept value, unit depends on the axis)
-    pub fn apply(self, builder: RankProblemBuilder<'_>, x: f64) -> RankProblemBuilder<'_> {
-        match self {
-            Axis::K => builder.permittivity(Permittivity::from_relative(x)),
-            Axis::M => builder.miller_factor(x),
-            Axis::C => builder.clock(Frequency::from_hertz(x)),
-            Axis::R => builder.repeater_fraction(x),
-        }
     }
 
     fn span(self) -> &'static str {
@@ -260,24 +247,41 @@ pub const PAPER_C_HERTZ: [f64; 13] = [
 /// The repeater-fraction grid of Table 4's `R` column: 0.1 to 0.5.
 pub const PAPER_R_VALUES: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Sweeps one Table 4 axis over `values` (axis units), serially and
-/// uncached, under the axis' own `sweep.*` span.
+/// The configurations of a sweep: `base` with `axis` rebound to each
+/// of `values` (axis units), in order.
 ///
 /// # Errors
 ///
-/// Propagates any [`RankError`] from rebuilding the problem.
-pub fn sweep_axis(
-    builder: &RankProblemBuilder<'_>,
+/// Returns [`BindError::Invalid`] for a value [`BoundConfig::with`]
+/// rejects (a non-finite one).
+pub fn configs(
+    base: &BoundConfig,
     axis: Axis,
     values: &[f64],
-) -> Result<Vec<SweepPoint>, RankError> {
-    let _span = telemetry::span(axis.span());
+) -> Result<Vec<BoundConfig>, BindError> {
     values
         .iter()
-        .map(|&x| {
-            let problem = axis.apply(builder.clone(), x).build()?;
-            Ok(CachedSolve::of(&problem, &problem.rank()).point(x))
-        })
+        .map(|&x| base.clone().with(axis.knob(), axis.to_knob(x)))
+        .collect()
+}
+
+/// Sweeps one Table 4 axis over `values` (axis units), serially and
+/// uncached, under the axis' own `sweep.*` span: each of [`configs`] is
+/// solved with [`BoundConfig::solve`].
+///
+/// # Errors
+///
+/// Returns the first [`BindError`] from building or binding a point.
+pub fn sweep_axis(
+    base: &BoundConfig,
+    axis: Axis,
+    values: &[f64],
+) -> Result<Vec<SweepPoint>, BindError> {
+    let _span = telemetry::span(axis.span());
+    configs(base, axis, values)?
+        .iter()
+        .zip(values)
+        .map(|(config, &x)| Ok(config.solve()?.point(x)))
         .collect()
 }
 
@@ -349,10 +353,6 @@ pub fn equivalent_reductions(a: &[SweepPoint], b: &[SweepPoint]) -> Vec<Equivale
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RankProblem;
-    use ia_arch::Architecture;
-    use ia_tech::presets;
-    use ia_wld::WldSpec;
 
     #[test]
     fn grids_match_paper_extents() {
@@ -367,11 +367,11 @@ mod tests {
 
     #[test]
     fn small_sweeps_are_monotone_in_the_expected_direction() {
-        let node = presets::tsmc130();
-        let arch = Architecture::baseline(&node);
-        let base = RankProblem::builder(&node, &arch)
-            .wld_spec(WldSpec::new(20_000).unwrap())
-            .bunch_size(2_000);
+        let base = BoundConfig {
+            gates: 20_000,
+            bunch: 2_000,
+            ..BoundConfig::default()
+        };
 
         // Lower K can only help (weakly).
         let k = sweep_axis(&base, Axis::K, &[3.9, 2.7, 1.8]).unwrap();
@@ -391,25 +391,22 @@ mod tests {
     }
 
     #[test]
-    fn both_knob_setters_agree_on_every_axis() {
-        // The builder path (`Axis::apply`) and the configuration path
-        // (`BoundConfig::with`) must bind the same problem.
-        let base = BoundConfig {
-            gates: 20_000,
-            bunch: 2_000,
-            ..BoundConfig::default()
-        };
-        let bound = base.bind().unwrap();
+    fn swept_configs_round_trip_every_paper_value() {
+        let base = BoundConfig::default();
         for axis in Axis::ALL {
             let grid = axis.paper_values();
-            for x in [grid[1], grid[grid.len() - 2]] {
-                let built = axis.apply(bound.builder().unwrap(), x).build().unwrap();
-                let via_builder = CachedSolve::of(&built, &built.rank());
-                let config = base.clone().with(axis.knob(), axis.to_knob(x)).unwrap();
-                assert_eq!(axis.get(&config), Some(x), "{axis} round-trips");
-                assert_eq!(via_builder, config.solve().unwrap(), "{axis} = {x}");
+            let swept = configs(&base, axis, grid).unwrap();
+            assert_eq!(swept.len(), grid.len());
+            for (config, &x) in swept.iter().zip(grid) {
+                assert_eq!(axis.get(config), Some(x), "{axis} = {x}");
+                // Only the swept knob moves.
+                for other in Axis::ALL.into_iter().filter(|&other| other != axis) {
+                    assert_eq!(other.get(config), other.get(&base), "{axis} = {x}");
+                }
+                assert_eq!((config.gates, config.bunch), (base.gates, base.bunch));
             }
         }
+        assert!(configs(&base, Axis::K, &[f64::NAN]).is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * `POST /solve` — rank one fully-bound configuration;
 //! * `POST /sweep` — Table 4 knob sweeps, run on `ia-dse`'s bounded
 //!   point executor with up to `--workers` solves at once;
-//! * `POST /sensitivity` — knob elasticities at an operating point;
+//! * `POST /sensitivity` — knob elasticities at an operating point,
+//!   its nine points run on the same executor with one worker;
 //! * `GET /healthz` — liveness plus queue/cache occupancy, and in
 //!   fleet mode the fleet's worker, queue and lease occupancy;
 //! * `GET /metrics` — the merged `ia-obs` telemetry snapshot, as JSON

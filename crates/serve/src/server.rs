@@ -28,16 +28,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ia_dse::scheduler::{execute, ExecOptions};
+use ia_dse::scheduler::{execute, ExecOptions, ExecOutcome};
 use ia_dse::{DseError, ExperimentSpec, RunOptions, RunOutcome};
 use ia_obs::json::JsonValue;
 use ia_obs::prometheus::PromWriter;
 use ia_obs::{
     counter_add, counter_max, histogram_record, MergeSink, Profile, Snapshot, SpanStat, Stopwatch,
 };
-use ia_rank::canon::BoundConfig;
-use ia_rank::sensitivity::{sensitivities, OperatingPoint};
-use ia_rank::sweep::{CachedSolve, PointCache};
+use ia_rank::canon::{BindError, BoundConfig};
+use ia_rank::sensitivity::{self, elasticities};
+use ia_rank::sweep::{self, CachedSolve, PointCache};
 
 use crate::api::{
     sensitivity_response, solve_response, sweep_points, sweep_response, SensitivityRequest,
@@ -763,21 +763,19 @@ fn outcome_counter(outcome: CacheOutcome) -> &'static str {
     }
 }
 
-/// Why a `/sweep` round stopped short: the reply's status and message.
-struct SweepStop(u16, String);
+/// Why a `/sweep` or `/sensitivity` batch stopped short: the reply's
+/// status and message.
+struct BatchStop(u16, String);
 
-impl From<DseError> for SweepStop {
+impl From<DseError> for BatchStop {
     fn from(e: DseError) -> Self {
-        SweepStop(500, e.to_string())
+        BatchStop(500, e.to_string())
     }
 }
 
-/// `POST /sweep`: one configuration per swept value, run as a batch on
-/// the dse point executor against the server's solve cache. Hits are
-/// answered on this thread; misses run on up to `--workers` threads
-/// when `parallel` is set, else one. Every fresh solve first checks
-/// the deadline and the stop flag, so a late request stops between
-/// points instead of running its whole batch.
+/// `POST /sweep`: one configuration per swept value
+/// ([`sweep::configs`]), run as a batch by [`run_points`]. Misses run on
+/// up to `--workers` threads when `parallel` is set, else one.
 fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, String) {
     let doc = match parse_body(body) {
         Ok(doc) => doc,
@@ -787,65 +785,30 @@ fn sweep_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, St
         Ok(request) => request,
         Err(e) => return (400, error_body(&e.0)),
     };
-    if over_deadline(shared, started) {
-        return (503, error_body("deadline exceeded before sweep"));
-    }
-    // A base that cannot bind is a 400 even when `values` is empty.
-    if let Err(e) = request
-        .base
-        .bind()
-        .and_then(|bound| bound.builder().map(drop))
-    {
-        return (400, error_body(&e.to_string()));
-    }
     let axis = request.axis;
     let values = request
         .values
         .unwrap_or_else(|| axis.paper_values().to_vec());
-    let configs: Result<Vec<BoundConfig>, _> = values
-        .iter()
-        .map(|&x| request.base.clone().with(axis.knob(), axis.to_knob(x)))
-        .collect();
-    let configs = match configs {
-        Ok(configs) => configs,
-        Err(e) => return (400, error_body(&e.to_string())),
+    let configs = sweep::configs(&request.base, axis, &values);
+    let workers = if request.parallel {
+        shared.cfg.workers
+    } else {
+        1
     };
-    let solve = |config: &BoundConfig| {
-        if over_deadline(shared, started) || shared.stop.load(Ordering::SeqCst) {
-            return Err(SweepStop(503, "deadline exceeded during sweep".to_owned()));
+    match run_points(shared, started, &request.base, configs, workers, "sweep") {
+        Ok(outcome) => {
+            let points = sweep_points(&values, &outcome);
+            let body = sweep_response(axis, &points, outcome.cached, outcome.solved);
+            (200, body.render())
         }
-        config.solve().map_err(|e| SweepStop(400, e.to_string()))
-    };
-    let opts = ExecOptions {
-        workers: if request.parallel {
-            shared.cfg.workers
-        } else {
-            1
-        },
-        ..ExecOptions::default()
-    };
-    let cache = ServeDseCache {
-        cache: &shared.cache,
-    };
-    let outcome = match execute(
-        &SWEEP_EXEC,
-        &configs,
-        &BoundConfig::cache_key,
-        &solve,
-        &cache,
-        &opts,
-    ) {
-        Ok(outcome) => outcome,
-        Err(SweepStop(status, message)) => return (status, error_body(&message)),
-    };
-    if over_deadline(shared, started) {
-        return (503, error_body("deadline exceeded during sweep"));
+        Err(BatchStop(status, message)) => (status, error_body(&message)),
     }
-    let points = sweep_points(&values, &outcome);
-    let body = sweep_response(axis, &points, outcome.cached, outcome.solved);
-    (200, body.render())
 }
 
+/// `POST /sensitivity`: the nine configurations of
+/// [`sensitivity::points`], run by [`run_points`] with one worker, as a
+/// non-parallel `/sweep`. The base is the content address of a
+/// `/solve` of the same fields, so each warms the other.
 fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u16, String) {
     let doc = match parse_body(body) {
         Ok(doc) => doc,
@@ -855,32 +818,79 @@ fn sensitivity_endpoint(shared: &Shared, body: &[u8], started: &Stopwatch) -> (u
         Ok(request) => request,
         Err(e) => return (400, error_body(&e.0)),
     };
-    if over_deadline(shared, started) {
-        return (503, error_body("deadline exceeded before sensitivity"));
-    }
-    let bound = match request.base.bind() {
-        Ok(bound) => bound,
-        Err(e) => return (400, error_body(&e.to_string())),
+    let configs = sensitivity::points(&request.base, request.step);
+    let outcome = match run_points(shared, started, &request.base, configs, 1, "sensitivity") {
+        Ok(outcome) => outcome,
+        Err(BatchStop(status, message)) => return (status, error_body(&message)),
     };
-    let builder = match bound.builder() {
-        Ok(builder) => builder,
-        Err(e) => return (400, error_body(&e.to_string())),
+    let normalized: Vec<f64> = outcome
+        .results
+        .iter()
+        .flatten()
+        .map(|s| s.normalized)
+        .collect();
+    let Ok(normalized) = <[f64; sensitivity::POINTS]>::try_from(normalized) else {
+        return (503, error_body("deadline exceeded during sensitivity"));
     };
-    let point = OperatingPoint::of(&bound.config);
-    match sensitivities(&builder, &point, request.step) {
-        Ok(report) => {
-            if over_deadline(shared, started) {
-                return (503, error_body("deadline exceeded during sensitivity"));
-            }
-            (200, sensitivity_response(&report).render())
-        }
-        Err(e) => (400, error_body(&format!("{e}"))),
-    }
+    let report = elasticities(&request.base, request.step, &normalized);
+    (200, sensitivity_response(&report).render())
 }
 
-/// [`PointCache`] adapter for `/sweep` and dse jobs: their points read
-/// and write the server's solve cache under the same content addresses
-/// `/solve` uses, so each warms the others.
+/// Runs the configurations built from `base` as one batch on the dse
+/// point executor with `workers` threads, against the server's solve
+/// cache and under the `sweep.*` telemetry names. A base that cannot
+/// bind is a 400 even when the batch is empty, and so is a
+/// configuration that could not be built. Hits are answered on this
+/// thread. Every fresh solve first checks the deadline and the stop
+/// flag, so a late request stops between points with a 503 instead of
+/// running its whole batch.
+fn run_points(
+    shared: &Shared,
+    started: &Stopwatch,
+    base: &BoundConfig,
+    configs: Result<Vec<BoundConfig>, BindError>,
+    workers: usize,
+    what: &str,
+) -> Result<ExecOutcome, BatchStop> {
+    if over_deadline(shared, started) {
+        return Err(BatchStop(503, format!("deadline exceeded before {what}")));
+    }
+    let invalid = |e: BindError| BatchStop(400, e.to_string());
+    base.bind()
+        .and_then(|bound| bound.builder().map(drop))
+        .map_err(invalid)?;
+    let configs = configs.map_err(invalid)?;
+    let late = || BatchStop(503, format!("deadline exceeded during {what}"));
+    let solve = |config: &BoundConfig| {
+        if over_deadline(shared, started) || shared.stop.load(Ordering::SeqCst) {
+            return Err(late());
+        }
+        config.solve().map_err(invalid)
+    };
+    let opts = ExecOptions {
+        workers,
+        ..ExecOptions::default()
+    };
+    let cache = ServeDseCache {
+        cache: &shared.cache,
+    };
+    let outcome = execute(
+        &SWEEP_EXEC,
+        &configs,
+        &BoundConfig::cache_key,
+        &solve,
+        &cache,
+        &opts,
+    )?;
+    if over_deadline(shared, started) {
+        return Err(late());
+    }
+    Ok(outcome)
+}
+
+/// [`PointCache`] adapter for `/sweep`, `/sensitivity` and dse jobs:
+/// their points read and write the server's solve cache under the same
+/// content addresses `/solve` uses, so each warms the others.
 struct ServeDseCache<'s> {
     cache: &'s SolveCache<CachedSolve>,
 }

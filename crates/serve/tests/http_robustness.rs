@@ -317,6 +317,25 @@ fn await_counter(addr: SocketAddr, name: &str, at_least: u64) -> u64 {
 }
 
 #[test]
+fn sensitivity_points_share_the_solve_cache() {
+    let server = start(2, 30_000);
+    let addr = server.local_addr();
+    let (status, cold) = post(addr, "/sensitivity", SMALL_SOLVE);
+    assert_eq!(status, 200, "{cold}");
+    assert_eq!(await_counter(addr, "sweep.cache.misses", 9), 9);
+    // A repeat is all hits, byte for byte the same answer.
+    assert_eq!(post(addr, "/sensitivity", SMALL_SOLVE), (200, cold));
+    assert_eq!(await_counter(addr, "sweep.cache.hits", 9), 9);
+    assert_eq!(counter(&get(addr, "/metrics").1, "sweep.cache.misses"), 9);
+    // The base point is the `/solve` of the same fields.
+    let (status, solve) = post(addr, "/solve", SMALL_SOLVE);
+    assert_eq!(status, 200, "{solve}");
+    assert!(solve.contains(r#""cache":"hit""#), "{solve}");
+    server.shutdown();
+    let _ = server.join();
+}
+
+#[test]
 fn serial_and_parallel_sweeps_match_the_library_sweep() {
     use ia_rank::canon::BoundConfig;
     use ia_rank::sweep::{sweep_axis, Axis};
@@ -326,13 +345,7 @@ fn serial_and_parallel_sweeps_match_the_library_sweep() {
         bunch: 2_000,
         ..BoundConfig::default()
     };
-    let bound = config.bind().expect("binds");
-    let library = sweep_axis(
-        &bound.builder().expect("builds"),
-        Axis::K,
-        Axis::K.paper_values(),
-    )
-    .expect("sweeps");
+    let library = sweep_axis(&config, Axis::K, Axis::K.paper_values()).expect("sweeps");
     for parallel in [false, true] {
         // A fresh server each answers the K grid cold, then the same
         // sweep again wholly from its solve cache.

@@ -424,7 +424,6 @@ const BLOCKING_METHODS: &[&str] = &[
     "solve",
     "explore",
     "execute",
-    "sensitivities",
 ];
 
 /// Blocking zero-argument methods (`handle.join()`; `path.join(x)`

@@ -8,23 +8,23 @@
 //! cargo run --release --example low_k_adoption
 //! ```
 
-use interconnect_rank::prelude::*;
+use interconnect_rank::rank::canon::BoundConfig;
 use interconnect_rank::rank::sweep;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let builder = rank::RankProblem::builder(&node, &architecture)
-        .wld_spec(wld::WldSpec::new(400_000)?)
-        .bunch_size(10_000);
+    // The Table 2 baseline at 400k gates, 130 nm.
+    let base = BoundConfig {
+        gates: 400_000,
+        ..BoundConfig::default()
+    };
 
     // Candidate dielectrics the fab could qualify.
     let k_options = [3.9, 3.6, 3.0, 2.7, 2.4]; // SiO2, FSG, SiCOH-class…
-    let k_points = sweep::sweep_axis(&builder, sweep::Axis::K, &k_options)?;
+    let k_points = sweep::sweep_axis(&base, sweep::Axis::K, &k_options)?;
 
     // Shielding options: Miller factor from worst-case 2.0 down to 1.0.
     let m_options = [2.0, 1.75, 1.5, 1.25, 1.0];
-    let m_points = sweep::sweep_axis(&builder, sweep::Axis::M, &m_options)?;
+    let m_points = sweep::sweep_axis(&base, sweep::Axis::M, &m_options)?;
 
     println!("Low-k adoption vs shielding, 400k gates @ 130 nm\n");
     println!("dielectric option  ->  normalized rank");

@@ -4,8 +4,9 @@
 //! physical problems.
 
 use interconnect_rank::prelude::*;
+use interconnect_rank::rank::canon::BoundConfig;
 use interconnect_rank::rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
-use interconnect_rank::rank::sensitivity::{sensitivities, OperatingPoint};
+use interconnect_rank::rank::sensitivity::sensitivities;
 use interconnect_rank::rank::{explain, utilization};
 
 const GATES: u64 = 60_000;
@@ -105,13 +106,12 @@ fn optimizer_finds_at_least_the_baseline_stack() {
 
 #[test]
 fn sensitivity_report_covers_all_knobs_consistently() {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let builder = rank::RankProblem::builder(&node, &architecture)
-        .wld_spec(wld::WldSpec::new(GATES).expect("valid"))
-        .bunch_size(4_000);
-    let report =
-        sensitivities(&builder, &OperatingPoint::paper_baseline(), 0.2).expect("sensitivity runs");
+    let base = BoundConfig {
+        gates: GATES,
+        bunch: 4_000,
+        ..BoundConfig::default()
+    };
+    let report = sensitivities(&base, 0.2).expect("sensitivity runs");
     assert_eq!(report.len(), 4);
     let baseline = report[0].baseline_normalized;
     for s in &report {

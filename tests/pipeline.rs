@@ -3,6 +3,7 @@
 //! checking the physical invariants the paper's experiments rely on.
 
 use interconnect_rank::prelude::*;
+use interconnect_rank::rank::canon::BoundConfig;
 use interconnect_rank::rank::sweep::{self, Axis};
 
 const GATES: u64 = 60_000;
@@ -78,19 +79,23 @@ fn physical_rank_is_monotone_in_budget_at_fixed_die() {
     }
 }
 
+/// The Table 2 baseline at `gates`, with bunch size `bunch`.
+fn config(gates: u64, bunch: u64) -> BoundConfig {
+    BoundConfig {
+        gates,
+        bunch,
+        ..BoundConfig::default()
+    }
+}
+
 #[test]
 fn physical_rank_is_monotone_in_permittivity_and_miller() {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let builder = rank::RankProblem::builder(&node, &architecture)
-        .wld_spec(wld::WldSpec::new(GATES).expect("valid"))
-        .bunch_size(BUNCH);
-
-    let k = sweep::sweep_axis(&builder, Axis::K, &[3.9, 3.3, 2.7, 2.1]).expect("sweep runs");
+    let base = config(GATES, BUNCH);
+    let k = sweep::sweep_axis(&base, Axis::K, &[3.9, 3.3, 2.7, 2.1]).expect("sweep runs");
     for w in k.windows(2) {
         assert!(w[1].rank >= w[0].rank, "K sweep not monotone: {k:?}");
     }
-    let m = sweep::sweep_axis(&builder, Axis::M, &[2.0, 1.6, 1.3, 1.0]).expect("sweep runs");
+    let m = sweep::sweep_axis(&base, Axis::M, &[2.0, 1.6, 1.3, 1.0]).expect("sweep runs");
     for w in m.windows(2) {
         assert!(w[1].rank >= w[0].rank, "M sweep not monotone: {m:?}");
     }
@@ -107,13 +112,9 @@ fn physical_rank_is_monotone_in_permittivity_and_miller() {
 
 #[test]
 fn physical_rank_is_non_increasing_in_clock() {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let builder = rank::RankProblem::builder(&node, &architecture)
-        .wld_spec(wld::WldSpec::new(GATES).expect("valid"))
-        .bunch_size(BUNCH);
+    let base = config(GATES, BUNCH);
     let c =
-        sweep::sweep_axis(&builder, Axis::C, &[5e8, 9e8, 1.3e9, 1.7e9, 2.5e9]).expect("sweep runs");
+        sweep::sweep_axis(&base, Axis::C, &[5e8, 9e8, 1.3e9, 1.7e9, 2.5e9]).expect("sweep runs");
     for w in c.windows(2) {
         assert!(w[1].rank <= w[0].rank, "C sweep not monotone: {c:?}");
     }
@@ -127,14 +128,7 @@ fn physical_rank_is_non_increasing_in_clock() {
 #[test]
 #[ignore = "409 solves at 1M gates; run in release with --ignored"]
 fn table4_directions_hold_on_dense_grids_at_paper_scale() {
-    let node = tech::presets::tsmc130();
-    let architecture = arch::Architecture::baseline(&node);
-    let at = |gates| {
-        rank::RankProblem::builder(&node, &architecture)
-            .wld_spec(wld::WldSpec::new(gates).expect("valid"))
-            .bunch_size(10_000)
-    };
-    let paper = at(1_000_000);
+    let paper = config(1_000_000, 10_000);
     // Integer steps from Table 4's baseline outward, so every value is
     // exact to its last digit; the first and last ranks are pinned.
     let grids = [
@@ -180,7 +174,8 @@ fn table4_directions_hold_on_dense_grids_at_paper_scale() {
     // At 200k gates the R column is not monotone: raising R inflates
     // the die (Eq. 6), which lengthens every wire and can cost more
     // rank than the larger repeater budget buys.
-    let r = sweep::sweep_axis(&at(200_000), Axis::R, &[0.11, 0.44, 0.5]).expect("sweep runs");
+    let r = sweep::sweep_axis(&config(200_000, 10_000), Axis::R, &[0.11, 0.44, 0.5])
+        .expect("sweep runs");
     let ranks: Vec<u64> = r.iter().map(|p| p.rank).collect();
     assert_eq!(ranks, [36_335, 27_677, 34_219]);
 }
