@@ -2,7 +2,9 @@
 //!
 //! Flags are `--name value` pairs (or `--name=value`); the first
 //! positional token is the subcommand. The boolean [`SWITCHES`] may
-//! also stand alone. Unknown flags are errors so typos fail loudly.
+//! also stand alone, and `--help` or `-h` anywhere a flag may stand
+//! asks for the usage text. Unknown flags are errors so typos fail
+//! loudly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,6 +31,9 @@ fn switch_value(raw: &str) -> Option<&'static str> {
 pub struct ParsedArgs {
     /// The command (first positional argument).
     pub command: Option<String>,
+    /// `--help` or `-h` was given: print the usage text instead of
+    /// running the command.
+    pub help: bool,
     /// The sub-action (second positional argument, e.g. `dse run`).
     /// Commands that take one read it via [`ParsedArgs::subcommand`];
     /// for every other command `reject_unknown` reports it as a stray
@@ -104,10 +109,13 @@ impl ParsedArgs {
     {
         let mut command = None;
         let mut subcommand = None;
+        let mut help = false;
         let mut options = BTreeMap::new();
         let mut iter = tokens.into_iter().map(Into::into).peekable();
         while let Some(tok) = iter.next() {
-            if let Some(flag) = tok.strip_prefix("--") {
+            if tok == "--help" || tok == "-h" {
+                help = true;
+            } else if let Some(flag) = tok.strip_prefix("--") {
                 if let Some((name, value)) = flag.split_once('=') {
                     let value = if SWITCHES.contains(&name) {
                         switch_value(value)
@@ -146,6 +154,7 @@ impl ParsedArgs {
         }
         Ok(Self {
             command,
+            help,
             subcommand,
             options,
             consumed: std::cell::RefCell::new(Vec::new()),

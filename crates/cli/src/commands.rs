@@ -775,7 +775,7 @@ COMMANDS:
              corpus report --run DIR [--csv]
   fleet      distributed dse worker (see docs/dse.md):
              fleet worker --coordinator ADDR
-  help       show this text
+  help       show this text (also `--help` or `-h`, after any command)
 
 SHARED FLAGS (rank, sweep, optimize):
   --node 90|130|180        technology node preset       [130]
@@ -788,7 +788,7 @@ SHARED FLAGS (rank, sweep, optimize):
   --fraction F             repeater area fraction       [0.4]
   --miller F               Miller coupling factor       [2.0]
   --k F                    ILD permittivity override    [node default]
-  --global/--semi-global/--local N   stack pair counts  [1/2/0]
+  --global/--semi-global/--local N   (rank, sweep) stack pair counts [1/2/0]
   --detail                 (rank only) also print the per-pair
                            utilization table (--detail true also
                            accepted)
@@ -933,6 +933,9 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
 /// Returns [`CliError`] for unknown commands, bad flags, or domain
 /// failures; the caller prints the message and exits non-zero.
 pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
+    if args.help {
+        return Ok(usage());
+    }
     match args.command.as_deref() {
         Some("rank") => cmd_rank(args),
         Some("sweep") => cmd_sweep(args),
@@ -974,6 +977,14 @@ mod tests {
             assert!(text.contains(cmd));
         }
         assert_eq!(run(&[]).unwrap(), usage());
+        for tokens in [
+            &["--help"][..],
+            &["-h"],
+            &["rank", "--help"],
+            &["sweep", "-h"],
+        ] {
+            assert_eq!(run(tokens).unwrap(), usage(), "{tokens:?}");
+        }
     }
 
     #[test]

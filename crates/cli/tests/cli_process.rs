@@ -27,11 +27,24 @@ fn run_ok(args: &[&str]) -> String {
 
 #[test]
 fn help_exits_zero_and_prints_usage() {
-    let out = iarank().arg("help").output().expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).expect("utf8");
-    assert!(text.contains("USAGE"));
-    assert!(text.contains("optimize"));
+    for args in [
+        &["help"][..],
+        &["--help"],
+        &["-h"],
+        &["rank", "--help"],
+        &["rank", "-h"],
+    ] {
+        let out = iarank().args(args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?} exited {:?}: {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).expect("utf8");
+        assert!(text.contains("USAGE"), "{args:?}");
+        assert!(text.contains("optimize"), "{args:?}");
+    }
 }
 
 #[test]

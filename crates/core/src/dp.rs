@@ -56,11 +56,47 @@ struct Front {
     entries: Vec<FrontEntry>,
 }
 
+/// What one solve counted. The inner loop adds to plain integers;
+/// [`Tally::record`] hands the totals to the collector once per solve.
+#[derive(Debug, Default)]
+struct Tally {
+    states: u64,
+    candidates: u64,
+    insertions: u64,
+    pruned: u64,
+    front_max: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+}
+
+impl Tally {
+    /// Records the `dp.*` counters. Each appears exactly when a
+    /// per-event recording would have created it: the front counters
+    /// once an insert was kept, the rest once they are non-zero.
+    fn record(&self) {
+        for (name, count) in [
+            (names::DP_STATES, self.states),
+            (names::DP_CANDIDATES, self.candidates),
+            (names::DP_MEMO_HITS, self.memo_hits),
+            (names::DP_MEMO_MISSES, self.memo_misses),
+        ] {
+            if count > 0 {
+                telemetry::counter_add(name, count);
+            }
+        }
+        if self.insertions > 0 {
+            telemetry::counter_add(names::DP_FRONT_INSERTIONS, self.insertions);
+            telemetry::counter_add(names::DP_FRONT_PRUNED, self.pruned);
+            telemetry::counter_max(names::DP_FRONT_MAX, self.front_max);
+        }
+    }
+}
+
 impl Front {
     /// Inserts an entry unless dominated; prunes entries it dominates.
     /// Returns whether the entry was kept.
-    fn insert(&mut self, e: FrontEntry) -> bool {
-        let _merge_span = telemetry::hot_span(names::SPAN_DP_FRONT_MERGE);
+    fn insert(&mut self, e: FrontEntry, tally: &mut Tally) -> bool {
+        tally.candidates += 1;
         // Find insertion point by area.
         let pos = self
             .entries
@@ -74,22 +110,20 @@ impl Front {
         }
         // Prune successors the new entry dominates.
         let mut end = pos;
+        while end < self.entries.len()
+            && self.entries[end].area >= e.area
+            && self.entries[end].count >= e.count
         {
-            let _scan_span = telemetry::hot_span(names::SPAN_DP_PRUNE_SCAN);
-            while end < self.entries.len()
-                && self.entries[end].area >= e.area
-                && self.entries[end].count >= e.count
-            {
-                end += 1;
-            }
+            end += 1;
         }
         let pruned = (end - pos) as u64;
         telemetry::histogram_record(names::DP_PRUNE_SCANNED, pruned);
         self.entries.splice(pos..end, [e]);
-        telemetry::counter_add(names::DP_FRONT_INSERTIONS, 1);
-        telemetry::counter_add(names::DP_FRONT_PRUNED, pruned);
-        telemetry::counter_max(names::DP_FRONT_MAX, self.entries.len() as u64);
-        telemetry::histogram_record(names::DP_FRONT_LEN, self.entries.len() as u64);
+        let len = self.entries.len() as u64;
+        tally.insertions += 1;
+        tally.pruned += pruned;
+        tally.front_max = tally.front_max.max(len);
+        telemetry::histogram_record(names::DP_FRONT_LEN, len);
         #[cfg(any(test, feature = "strict-invariants"))]
         self.assert_invariants();
         true
@@ -204,6 +238,7 @@ pub fn rank(inst: &Instance) -> Solution {
         Solution::zero(greedy_pack(inst, 0, 0, 0, 0))
     };
     let mut pack_memo: HashMap<(usize, usize, u64), bool> = HashMap::new();
+    let mut tally = Tally::default();
 
     // try_finalize: treat `pair` as the active pair, with delay-met
     // prefix ending at `met_end` (costs already inside `entry`), the
@@ -213,7 +248,8 @@ pub fn rank(inst: &Instance) -> Solution {
                             wire_area_used: f64,
                             cap: f64,
                             entry: &FrontEntry,
-                            best: &mut Solution| {
+                            best: &mut Solution,
+                            tally: &mut Tally| {
         let rank_wires = inst.wires_before(met_end);
         let improves_rank = rank_wires > best.rank_wires;
         // A successful finalize also proves Definition-3 assignability,
@@ -240,17 +276,13 @@ pub fn rank(inst: &Instance) -> Solution {
         }
         let wires_above = inst.wires_before(extras_end);
         let key = (extras_end, pair + 1, entry.count);
-        let cached = {
-            let _probe_span = telemetry::hot_span(names::SPAN_DP_MEMO_PROBE);
-            pack_memo.get(&key).copied()
-        };
-        let ok = match cached {
+        let ok = match pack_memo.get(&key).copied() {
             Some(cached) => {
-                telemetry::counter_add(names::DP_MEMO_HITS, 1);
+                tally.memo_hits += 1;
                 cached
             }
             None => {
-                let _insert_span = telemetry::hot_span(names::SPAN_DP_MEMO_INSERT);
+                tally.memo_misses += 1;
                 let computed = greedy_pack(inst, extras_end, pair + 1, wires_above, entry.count);
                 pack_memo.insert(key, computed);
                 computed
@@ -291,14 +323,14 @@ pub fn rank(inst: &Instance) -> Solution {
             };
             telemetry::histogram_record(names::DP_FRONT_OCCUPANCY, front.entries.len() as u64);
             for entry in &front.entries {
-                telemetry::counter_add(names::DP_STATES, 1);
+                tally.states += 1;
                 let cap = inst.blocked_capacity(j, inst.wires_before(i1), entry.count);
                 // Pair j as active pair with an empty met segment.
-                try_finalize(j, i1, 0.0, cap, entry, &mut best);
+                try_finalize(j, i1, 0.0, cap, entry, &mut best, &mut tally);
                 // Pair j skipped entirely: carry the state forward.
                 next[i1]
                     .get_or_insert_with(Front::default)
-                    .insert(entry.clone());
+                    .insert(entry.clone(), &mut tally);
                 // Sweep delay-met extensions.
                 let mut wire_area = 0.0;
                 let mut rep_area = 0.0;
@@ -328,15 +360,16 @@ pub fn rank(inst: &Instance) -> Solution {
                             parent: entry.path.clone(),
                         })),
                     };
-                    try_finalize(j, i2 + 1, wire_area, cap, &new_entry, &mut best);
+                    try_finalize(j, i2 + 1, wire_area, cap, &new_entry, &mut best, &mut tally);
                     next[i2 + 1]
                         .get_or_insert_with(Front::default)
-                        .insert(new_entry);
+                        .insert(new_entry, &mut tally);
                 }
             }
         }
         prev = next;
     }
+    tally.record();
 
     // End the solve span here: the strict-invariants cross-check below
     // re-solves the instance at zero budget, and that debug contract
@@ -542,12 +575,18 @@ mod tests {
             count,
             path: None,
         };
-        assert!(f.insert(e(5.0, 10)));
-        assert!(f.insert(e(3.0, 20))); // incomparable: kept
-        assert!(!f.insert(e(6.0, 11))); // dominated by (5, 10)
-        assert!(f.insert(e(2.0, 5))); // dominates everything
+        let t = &mut Tally::default();
+        assert!(f.insert(e(5.0, 10), t));
+        assert!(f.insert(e(3.0, 20), t)); // incomparable: kept
+        assert!(!f.insert(e(6.0, 11), t)); // dominated by (5, 10)
+        assert!(f.insert(e(2.0, 5), t)); // dominates everything
         assert_eq!(f.entries.len(), 1);
         assert!((f.entries[0].area - 2.0).abs() < 1e-12);
+        // Four candidates, three kept, two pruned by the last one.
+        assert_eq!(
+            (t.candidates, t.insertions, t.pruned, t.front_max),
+            (4, 3, 2, 2)
+        );
     }
 
     mod front_properties {
@@ -563,7 +602,7 @@ mod tests {
             fn insert_preserves_sorting_and_nondomination(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None });
+                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
                     f.assert_invariants();
                 }
                 // Sorted: strictly ascending area, strictly descending
@@ -589,7 +628,7 @@ mod tests {
             fn every_inserted_point_has_a_dominating_survivor(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None });
+                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
                 }
                 for &(area, count) in &pts {
                     prop_assert!(
@@ -603,12 +642,12 @@ mod tests {
             fn reinserting_survivors_is_a_rejected_noop(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None });
+                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
                 }
                 let snapshot: Vec<(f64, u64)> =
                     f.entries.iter().map(|e| (e.area, e.count)).collect();
                 for &(area, count) in &snapshot {
-                    let accepted = f.insert(FrontEntry { area, count, path: None });
+                    let accepted = f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
                     prop_assert!(!accepted, "re-inserting a survivor must be rejected");
                 }
                 let after: Vec<(f64, u64)> =
@@ -619,10 +658,9 @@ mod tests {
     }
 
     /// The telemetry counters must agree with the invariant contracts:
-    /// `dp.front_max` is recorded on every accepted insert, while the
-    /// contract probe sees every front the invariant checks visit — so
-    /// the counter can never exceed the probe's witness.
-    #[cfg(feature = "telemetry")]
+    /// `dp.front_max` tallies every accepted insert, while the contract
+    /// probe sees every front the invariant checks visit — so the
+    /// counter can never exceed the probe's witness.
     mod telemetry_properties {
         use super::*;
         use proptest::prelude::*;

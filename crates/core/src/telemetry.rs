@@ -1,12 +1,11 @@
-//! Solver telemetry: the counter/span name registry and the
-//! compile-out shim over [`ia_obs`].
+//! Solver telemetry: the counter/span name registry and the recording
+//! calls the solver makes through [`ia_obs`].
 //!
-//! The solver records through this module, never through `ia_obs`
-//! directly, so the whole instrumentation layer can be compiled out by
-//! building `ia-rank` with `--no-default-features` (dropping the
-//! `telemetry` feature). With the feature on — the default — every
-//! call still costs only a relaxed atomic load and a branch until the
-//! collector is enabled (see `ia_obs::set_enabled`).
+//! Every call costs a relaxed atomic load and a branch until the
+//! collector is enabled (see `ia_obs::set_enabled`). The DP's inner
+//! loop records nothing itself: it counts into plain integers, and
+//! [`crate::dp::rank`] hands the totals to the collector once per
+//! solve. Its spans are per phase, never per iteration.
 //!
 //! [`names`] is the registry of every counter, histogram and span this
 //! crate records. The strings are **API**: external tooling keys on
@@ -20,6 +19,10 @@ pub mod names {
     /// entry)` combination visited by the main loop. The measured `F`
     /// factor of the documented `O(m·n²·F)` bound.
     pub const DP_STATES: &str = "dp.states";
+    /// Counter: candidate entries offered to a Pareto front — every
+    /// carried-forward state and every delay-met extension, kept or
+    /// not. At least [`DP_FRONT_INSERTIONS`].
+    pub const DP_CANDIDATES: &str = "dp.candidates";
     /// Counter: accepted Pareto-front insertions.
     pub const DP_FRONT_INSERTIONS: &str = "dp.front_insertions";
     /// Counter: front entries pruned because a new insertion dominated
@@ -31,6 +34,9 @@ pub mod names {
     /// Counter: `greedy_pack` feasibility results served from the memo
     /// instead of recomputed.
     pub const DP_MEMO_HITS: &str = "dp.memo_hits";
+    /// Counter: `greedy_pack` feasibility results computed and stored
+    /// in the memo. Memo probes are hits plus misses.
+    pub const DP_MEMO_MISSES: &str = "dp.memo_misses";
     /// Histogram: Pareto-front length after each accepted insertion
     /// (log-scale buckets).
     pub const DP_FRONT_LEN: &str = "dp.front_len";
@@ -54,9 +60,8 @@ pub mod names {
     /// Span: the DP solve proper ([`crate::dp::rank`]).
     pub const SPAN_DP_SOLVE: &str = "dp.solve";
     /// Span: one layer-pair expansion of the DP main loop (nested
-    /// under [`SPAN_DP_SOLVE`], one call per pair). The solver phase
-    /// spans below all nest under it, so a profile attributes
-    /// essentially all of `dp.solve` to named phases.
+    /// under [`SPAN_DP_SOLVE`], one call per pair). With
+    /// [`SPAN_DP_SEED`] it covers essentially all of `dp.solve`.
     pub const SPAN_DP_EXPAND: &str = "expand";
     /// Span: the Algorithm-5 base assignability check seeding the DP
     /// (one `greedy_pack` over the whole WLD, nested under
@@ -67,24 +72,6 @@ pub mod names {
     /// [`SPAN_DP_SOLVE`] (never inside it) so debug contracts stay out
     /// of the solver's phase profile.
     pub const SPAN_DP_STRICT_RECHECK: &str = "strict.recheck";
-    /// Span: one `pack_memo` feasibility probe (nested under
-    /// [`SPAN_DP_EXPAND`]). Like the other per-iteration micro-phases
-    /// (`memo.insert`, `front.merge`, `prune.scan`) it is recorded via
-    /// `ia_obs::hot_span`: it aggregates into profiles and flamegraphs
-    /// but never emits trace events — a single solve opens these spans
-    /// often enough to flood the bounded per-thread trace buffers.
-    pub const SPAN_DP_MEMO_PROBE: &str = "memo.probe";
-    /// Span: one memo miss — the `greedy_pack` recompute plus the memo
-    /// insert (sibling of [`SPAN_DP_MEMO_PROBE`]; profile-only, see
-    /// there).
-    pub const SPAN_DP_MEMO_INSERT: &str = "memo.insert";
-    /// Span: one Pareto-front merge (`Front::insert`, nested under
-    /// [`SPAN_DP_EXPAND`]; profile-only, see [`SPAN_DP_MEMO_PROBE`]).
-    pub const SPAN_DP_FRONT_MERGE: &str = "front.merge";
-    /// Span: the dominated-successor prune scan inside a front merge
-    /// (nested under [`SPAN_DP_FRONT_MERGE`]; profile-only, see
-    /// [`SPAN_DP_MEMO_PROBE`]).
-    pub const SPAN_DP_PRUNE_SCAN: &str = "prune.scan";
     /// Span: solution-path reconstruction (nested under the expansion
     /// phase of [`SPAN_DP_SOLVE`]).
     pub const SPAN_RECONSTRUCT: &str = "reconstruct";
@@ -105,37 +92,4 @@ pub mod names {
     pub const SPAN_OPTIMIZE_STACK: &str = "optimize_stack";
 }
 
-#[cfg(feature = "telemetry")]
-pub(crate) use ia_obs::{counter_add, counter_max, histogram_record, hot_span, span};
-
-/// Inert stand-ins compiled when the `telemetry` feature is off: every
-/// recording call is an empty inlined function the optimizer erases.
-#[cfg(not(feature = "telemetry"))]
-mod noop {
-    /// Inert span guard (drop does nothing).
-    pub(crate) struct Span;
-
-    #[inline(always)]
-    pub(crate) fn counter_add(_name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn counter_max(_name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn histogram_record(_name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    #[must_use]
-    pub(crate) fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    #[must_use]
-    pub(crate) fn hot_span(_name: &'static str) -> Span {
-        Span
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-pub(crate) use noop::{counter_add, counter_max, histogram_record, hot_span, span};
+pub(crate) use ia_obs::{counter_add, counter_max, histogram_record, span};

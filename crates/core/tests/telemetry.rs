@@ -3,8 +3,9 @@
 //! identical counter and histogram snapshots (span *timings* vary;
 //! span structure does not).
 
-#![cfg(feature = "telemetry")]
+use std::collections::{BTreeMap, BTreeSet};
 
+use ia_obs::TraceEventKind;
 use ia_rank::telemetry::names;
 use ia_rank::{dp, toy};
 
@@ -86,9 +87,11 @@ fn reconstruct_span_nests_under_the_expand_phase() {
     );
 }
 
-/// Every solver phase span nests under `dp.solve/expand`, and the
-/// phase spans together account for nearly all of `dp.solve`'s time —
-/// the property the `--prof-out` flamegraph export relies on.
+/// The solver's spans are per phase: `seed` and `expand` under
+/// `dp.solve`, and only `reconstruct` under `expand`. Together `seed`
+/// and `expand` account for nearly all of `dp.solve`'s time — the
+/// property the `--prof-out` flamegraph export relies on. The inner
+/// loop is counted instead of timed.
 #[test]
 fn dp_phase_spans_nest_and_cover_the_solve() {
     ia_obs::set_enabled(true);
@@ -96,29 +99,24 @@ fn dp_phase_spans_nest_and_cover_the_solve() {
     let _ = dp::rank(&toy::budget_limited(16, 2, 12.0));
     let snap = ia_obs::snapshot();
     let expand = format!("{}/{}", names::SPAN_DP_SOLVE, names::SPAN_DP_EXPAND);
-    for leaf in [
-        names::SPAN_DP_MEMO_PROBE,
-        names::SPAN_DP_FRONT_MERGE,
-        names::SPAN_DP_MEMO_INSERT,
-    ] {
-        let path = format!("{expand}/{leaf}");
-        assert!(
-            snap.spans.contains_key(&path),
-            "expected `{path}` in {:?}",
-            snap.spans.keys().collect::<Vec<_>>()
-        );
-    }
-    let scan = format!(
-        "{expand}/{}/{}",
-        names::SPAN_DP_FRONT_MERGE,
-        names::SPAN_DP_PRUNE_SCAN
+    let under_expand: Vec<&String> = snap
+        .spans
+        .keys()
+        .filter(|path| path.starts_with(&format!("{expand}/")))
+        .collect();
+    assert_eq!(
+        under_expand,
+        [&format!("{expand}/{}", names::SPAN_RECONSTRUCT)],
+        "only reconstruct nests under expand"
     );
+    let candidates = snap.counter(names::DP_CANDIDATES).unwrap_or(0);
+    let kept = snap.counter(names::DP_FRONT_INSERTIONS).unwrap_or(0);
+    assert!(kept > 0, "the solve keeps front entries");
     assert!(
-        snap.spans.contains_key(&scan),
-        "prune scan nests under the front merge: {:?}",
-        snap.spans.keys().collect::<Vec<_>>()
+        candidates >= kept,
+        "dp.candidates ({candidates}) counts every offer, kept ({kept}) or not"
     );
-    // Phase histograms are recorded alongside the spans.
+    // Phase histograms are recorded alongside the counters.
     assert!(snap.histograms.contains_key("dp.front_occupancy"));
     assert!(snap.histograms.contains_key("dp.prune_scanned"));
     // The named phases dominate the solve: everything rank() does
@@ -145,6 +143,77 @@ fn dp_phase_spans_nest_and_cover_the_solve() {
         "phases ({}) cover >=75% of dp.solve ({})",
         coverage.0,
         coverage.1
+    );
+}
+
+/// A traced solve writes each `dp.*` counter once, before its
+/// `dp.solve` span closes, rather than once per event, and its spans'
+/// begin/end events pair up. (A `strict-invariants` build re-solves
+/// the instance inside `strict.recheck`; that solve writes its own
+/// counters under its own `dp.solve`.)
+#[test]
+fn a_traced_solve_writes_one_event_per_dp_counter() {
+    ia_obs::set_enabled(true);
+    ia_obs::reset();
+    let _ = ia_obs::drain_trace();
+    ia_obs::set_trace_enabled(true);
+    let _ = dp::rank(&toy::figure2());
+    ia_obs::set_trace_enabled(false);
+    let trace = ia_obs::drain_trace();
+    let snap = ia_obs::snapshot();
+
+    // The dp.* counter events of each dp.solve, by name.
+    let mut solves: Vec<BTreeMap<&str, u64>> = Vec::new();
+    let mut open: Vec<&str> = Vec::new();
+    for event in &trace.events {
+        match event.kind {
+            TraceEventKind::Begin(name) => {
+                if name == names::SPAN_DP_SOLVE {
+                    solves.push(BTreeMap::new());
+                }
+                open.push(name);
+            }
+            TraceEventKind::End(name) => {
+                assert_eq!(
+                    open.pop(),
+                    Some(name),
+                    "end event closes the innermost span"
+                );
+            }
+            TraceEventKind::Counter { name, .. } if name.starts_with("dp.") => {
+                assert!(
+                    open.contains(&names::SPAN_DP_SOLVE),
+                    "`{name}` written outside dp.solve"
+                );
+                let solve = solves.last_mut().expect("inside a solve");
+                *solve.entry(name).or_default() += 1;
+            }
+            TraceEventKind::Counter { .. } => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
+    assert_eq!(trace.dropped_span_events + trace.dropped_counter_events, 0);
+    for solve in &solves {
+        assert!(solve.values().all(|&n| n == 1), "{solve:?}");
+    }
+
+    // `dp.front_max` is a high-water mark and writes no events; every
+    // other `dp.*` counter of the snapshot was written.
+    let written: BTreeSet<&str> = solves
+        .iter()
+        .flat_map(|solve| solve.keys().copied())
+        .collect();
+    let expected: BTreeSet<&str> = snap
+        .counters
+        .keys()
+        .map(String::as_str)
+        .filter(|name| name.starts_with("dp.") && *name != names::DP_FRONT_MAX)
+        .collect();
+    assert_eq!(written, expected);
+    assert!(
+        expected.contains(&names::DP_FRONT_INSERTIONS),
+        "figure 2 keeps front entries: {:?}",
+        snap.counters
     );
 }
 

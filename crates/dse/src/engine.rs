@@ -91,41 +91,21 @@ pub struct RoundTiming {
     /// Wall time spent in the refine phase (cliff detection and grid
     /// bisection), nanoseconds.
     pub refine_ns: u64,
-    /// Solver time inside the round's `dp.solve/expand` phase spans
-    /// (inclusive of the nested phases below), summed across workers,
-    /// nanoseconds. Zero when the collector is disabled.
+    /// Solver time inside the round's `dp.solve/expand` phase spans,
+    /// summed across workers, nanoseconds. Zero when the collector is
+    /// disabled.
     pub dp_expand_ns: u64,
-    /// Solver time probing and refilling the `greedy_pack` memo
-    /// (`memo.probe` + `memo.insert` spans), nanoseconds.
-    pub dp_memo_ns: u64,
-    /// Solver time merging Pareto fronts (`front.merge` spans,
-    /// inclusive of the prune scans), nanoseconds.
-    pub dp_front_ns: u64,
-    /// Solver time scanning dominated successors (`prune.scan`
-    /// spans), nanoseconds.
-    pub dp_prune_ns: u64,
 }
 
-/// Inclusive solver-phase totals summed over the spans of `snap` by
-/// leaf segment: `(expand, memo, front, prune)` nanoseconds. Paths are
-/// matched on their last `/`-segment so the totals are independent of
+/// Total time in the `expand` spans of `snap`, nanoseconds. Paths are
+/// matched on their last `/`-segment so the total is independent of
 /// where in the caller's span stack the solves ran.
-fn dp_phase_totals(snap: &ia_obs::Snapshot) -> (u64, u64, u64, u64) {
-    use ia_rank::telemetry::names as rank;
-    let (mut expand, mut memo, mut front, mut prune) = (0u64, 0u64, 0u64, 0u64);
-    for (path, stat) in &snap.spans {
-        let leaf = path.rsplit('/').next().unwrap_or(path);
-        if leaf == rank::SPAN_DP_EXPAND {
-            expand = expand.saturating_add(stat.total_ns);
-        } else if leaf == rank::SPAN_DP_MEMO_PROBE || leaf == rank::SPAN_DP_MEMO_INSERT {
-            memo = memo.saturating_add(stat.total_ns);
-        } else if leaf == rank::SPAN_DP_FRONT_MERGE {
-            front = front.saturating_add(stat.total_ns);
-        } else if leaf == rank::SPAN_DP_PRUNE_SCAN {
-            prune = prune.saturating_add(stat.total_ns);
-        }
-    }
-    (expand, memo, front, prune)
+fn dp_expand_total(snap: &ia_obs::Snapshot) -> u64 {
+    use ia_rank::telemetry::names::SPAN_DP_EXPAND;
+    snap.spans
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some(SPAN_DP_EXPAND))
+        .fold(0, |total, (_, stat)| total.saturating_add(stat.total_ns))
 }
 
 /// What an engine invocation accomplished.
@@ -279,8 +259,8 @@ pub fn explore(
         let budget = opts.budget.map(|b| b.saturating_sub(solved));
         // The scheduler folds its workers' telemetry into this thread
         // before returning, so snapshot deltas around it attribute the
-        // round's solver phase time (see `dp_phase_totals`).
-        let phases_before = dp_phase_totals(&ia_obs::snapshot());
+        // round's solver expand time (see `dp_expand_total`).
+        let expand_before = dp_expand_total(&ia_obs::snapshot());
         let execute_watch = Stopwatch::start();
         let exec = execute(
             &names::EXEC,
@@ -296,7 +276,7 @@ pub fn explore(
             },
         )?;
         let execute_ns = execute_watch.elapsed_ns();
-        let phases_after = dp_phase_totals(&ia_obs::snapshot());
+        let expand_after = dp_expand_total(&ia_obs::snapshot());
         solved += exec.solved;
         cached += exec.cached;
         skipped = exec.skipped;
@@ -350,10 +330,7 @@ pub fn explore(
             cached: exec.cached,
             execute_ns,
             refine_ns: refine_watch.elapsed_ns(),
-            dp_expand_ns: phases_after.0.saturating_sub(phases_before.0),
-            dp_memo_ns: phases_after.1.saturating_sub(phases_before.1),
-            dp_front_ns: phases_after.2.saturating_sub(phases_before.2),
-            dp_prune_ns: phases_after.3.saturating_sub(phases_before.3),
+            dp_expand_ns: expand_after.saturating_sub(expand_before),
         };
         round_timings.push(timing);
         if stop {

@@ -367,9 +367,18 @@ mod tests {
 
     #[test]
     fn workers_merge_their_solver_telemetry_into_the_caller() {
-        use ia_rank::telemetry::names::{SPAN_DP_EXPAND, SPAN_DP_FRONT_MERGE, SPAN_DP_SOLVE};
+        use ia_rank::telemetry::names::{DP_CANDIDATES, SPAN_DP_EXPAND, SPAN_DP_SOLVE};
         let points = &points()[..3];
         ia_obs::set_enabled(true);
+        // The same three points solved on this thread, one after
+        // another, give the counters a merge must reproduce.
+        ia_obs::reset();
+        for point in points {
+            LocalSolver.solve_point(point).unwrap();
+        }
+        let serial = ia_obs::snapshot().counter(DP_CANDIDATES);
+        assert!(serial.unwrap_or(0) > 0, "the solves offer front candidates");
+
         ia_obs::reset();
         let opts = ExecOptions {
             workers: 3,
@@ -379,14 +388,14 @@ mod tests {
         assert_eq!(outcome.solved, 3);
         // Each worker solves inside its own thread-local collector;
         // after the merge the solver's phase spans sit under the point
-        // span exactly as one thread would have recorded them.
+        // span exactly as one thread would have recorded them, and the
+        // per-solve counters add up.
         let snap = ia_obs::snapshot();
         let solve = format!("{}/{SPAN_DP_SOLVE}", names::SPAN_POINT);
         let expand = format!("{solve}/{SPAN_DP_EXPAND}");
-        let merge = format!("{expand}/{SPAN_DP_FRONT_MERGE}");
         assert_eq!(snap.spans[&solve].calls, 3, "one dp.solve per point");
         assert!(snap.spans[&expand].calls >= 3, "an expand span per solve");
-        assert!(snap.spans[&merge].calls > 0, "front merges under expand");
+        assert_eq!(snap.counter(DP_CANDIDATES), serial);
         assert_eq!(snap.counter(names::POINTS_SOLVED), Some(3));
     }
 

@@ -30,10 +30,12 @@ fn clock_cliff_refinement_solves_the_pinned_points() {
         (6, 3, 6)
     );
     let pinned: Vec<(String, u64)> = [
+        ("dp.candidates", 662_904),
         ("dp.front_insertions", 7_217),
         ("dp.front_max", 1),
         ("dp.front_pruned", 1_422),
         ("dp.memo_hits", 958),
+        ("dp.memo_misses", 1_050),
         ("dp.states", 3_787),
         ("dse.points.solved", 6),
         ("dse.rounds", 3),

@@ -72,7 +72,7 @@ pub use collector::{
 pub use export::{HistogramStat, Snapshot, SpanStat};
 pub use histogram::{bucket_index, bucket_upper_bound, BUCKETS};
 pub use prof::{Profile, ProfileNode};
-pub use span::{hot_span, span, Span};
+pub use span::{span, Span};
 pub use stopwatch::Stopwatch;
 pub use trace::{
     context_for, context_hex, current_context, drain_trace, push_context, set_trace_capacity,

@@ -60,37 +60,6 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Opens an aggregation-only span: it nests, times and accumulates
-/// into the collector exactly like [`span`], but never records trace
-/// events, even while tracing is enabled.
-///
-/// Use it for per-iteration micro-phases hot enough to flood the
-/// bounded per-thread trace buffers (see
-/// [`crate::set_trace_capacity`]) — a solver inner loop can open one
-/// hundreds of thousands of times per solve. Their aggregate belongs
-/// in span profiles and flamegraphs; a begin/end event pair per call
-/// would evict the enclosing spans' end events and leave the trace
-/// unbalanced.
-#[must_use = "a span records on drop; bind it with `let _span = ...`"]
-pub fn hot_span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span {
-            start: None,
-            path: None,
-            trace_name: None,
-        };
-    }
-    let path = with_storage(|s| {
-        s.stack.push(name);
-        Some(s.stack.join("/"))
-    });
-    Span {
-        start: Some(Instant::now()),
-        path,
-        trace_name: None,
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start.take() else {

@@ -99,33 +99,6 @@ fn spans_emit_balanced_begin_end_events() {
 }
 
 #[test]
-fn hot_spans_aggregate_but_never_trace() {
-    let _guard = trace_guard();
-    ia_obs::set_enabled(true);
-    ia_obs::set_trace_enabled(true);
-    {
-        let _outer = ia_obs::span("outer");
-        for _ in 0..3 {
-            let _inner = ia_obs::hot_span("inner");
-        }
-    }
-    let snap = ia_obs::snapshot();
-    assert_eq!(
-        snap.spans.get("outer/inner").map(|s| s.calls),
-        Some(3),
-        "hot spans nest and aggregate like regular spans: {:?}",
-        snap.spans.keys().collect::<Vec<_>>()
-    );
-    let trace = ia_obs::drain_trace();
-    let kinds: Vec<_> = trace.events.iter().map(|e| e.kind).collect();
-    assert_eq!(
-        kinds,
-        vec![TraceEventKind::Begin("outer"), TraceEventKind::End("outer")],
-        "hot spans leave no events of their own and keep the trace balanced"
-    );
-}
-
-#[test]
 fn tracing_works_without_the_collector_flag() {
     let _guard = trace_guard();
     ia_obs::set_trace_enabled(true);

@@ -1014,9 +1014,6 @@ fn dse_result_json(run_id: &str, outcome: &RunOutcome) -> JsonValue {
                 ("execute_ns".to_owned(), JsonValue::UInt(t.execute_ns)),
                 ("refine_ns".to_owned(), JsonValue::UInt(t.refine_ns)),
                 ("dp_expand_ns".to_owned(), JsonValue::UInt(t.dp_expand_ns)),
-                ("dp_memo_ns".to_owned(), JsonValue::UInt(t.dp_memo_ns)),
-                ("dp_front_ns".to_owned(), JsonValue::UInt(t.dp_front_ns)),
-                ("dp_prune_ns".to_owned(), JsonValue::UInt(t.dp_prune_ns)),
             ])
         })
         .collect();

@@ -276,9 +276,6 @@ fn dse_jobs_correlate_on_the_run_id() {
             "execute_ns",
             "refine_ns",
             "dp_expand_ns",
-            "dp_memo_ns",
-            "dp_front_ns",
-            "dp_prune_ns",
         ] {
             assert!(
                 round.get(field).and_then(JsonValue::as_u64).is_some(),

@@ -8,10 +8,12 @@
 //!   unit-repeater instances;
 //! * `greedy::rank_greedy` never exceeds `dp::rank`;
 //! * `assign::greedy_pack` is optimal among contiguous delay-free
-//!   packings (the paper's Lemma 1), against a brute-force packer.
+//!   packings (the paper's Lemma 1), against a brute-force packer;
+//! * `dp::rank` returns the same solution whether the telemetry
+//!   collector and tracing are off or on.
 
 use interconnect_rank::rank::{
-    assign, dp, exact, exhaustive, greedy, utilization, BunchSolverSpec, Instance, Need,
+    assign, dp, exact, exhaustive, greedy, toy, utilization, BunchSolverSpec, Instance, Need,
     PairSolverSpec,
 };
 use proptest::prelude::*;
@@ -170,6 +172,32 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Instrumentation observes the solve and never steers it: the
+    /// collector and the tracer leave the solution unchanged.
+    #[test]
+    fn telemetry_never_changes_the_solution(
+        inst in prop_oneof![
+            instance_strategy(3, 5, 2),
+            Just(toy::figure2()),
+            (1u64..32, 1u64..4, 0.0f64..64.0)
+                .prop_map(|(wires, per, budget)| toy::budget_limited(wires, per, budget)),
+        ]
+    ) {
+        ia_obs::set_enabled(false);
+        ia_obs::set_trace_enabled(false);
+        let off = dp::rank(&inst);
+        ia_obs::set_enabled(true);
+        let on = dp::rank(&inst);
+        ia_obs::set_trace_enabled(true);
+        let traced = dp::rank(&inst);
+        ia_obs::set_enabled(false);
+        ia_obs::set_trace_enabled(false);
+        ia_obs::reset();
+        let _ = ia_obs::drain_trace();
+        prop_assert_eq!(&on, &off);
+        prop_assert_eq!(&traced, &off);
     }
 }
 

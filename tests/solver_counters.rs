@@ -29,9 +29,11 @@ fn figure2_solve_records_the_pinned_counters() {
     assert_eq!(
         counters,
         expected(&[
+            ("dp.candidates", 12),
             ("dp.front_insertions", 8),
             ("dp.front_max", 1),
             ("dp.front_pruned", 0),
+            ("dp.memo_misses", 5),
             ("dp.states", 4),
             ("instance.bunches", 4),
             ("instance.pairs", 2),
@@ -45,9 +47,11 @@ fn budget_limited_toy_records_the_pinned_counters() {
     assert_eq!(
         counters,
         expected(&[
+            ("dp.candidates", 151),
             ("dp.front_insertions", 151),
             ("dp.front_max", 1),
             ("dp.front_pruned", 0),
+            ("dp.memo_misses", 150),
             ("dp.states", 1),
             ("instance.bunches", 400),
             ("instance.pairs", 1),
@@ -72,10 +76,12 @@ fn paper_baseline_solve_records_the_pinned_counters() {
     assert_eq!(
         counters,
         expected(&[
+            ("dp.candidates", 1_187_997),
             ("dp.front_insertions", 16_743),
             ("dp.front_max", 1),
             ("dp.front_pruned", 13_618),
             ("dp.memo_hits", 366),
+            ("dp.memo_misses", 1_245),
             ("dp.states", 2_024),
             ("instance.bunches", 1_402),
             ("instance.pairs", 3),
