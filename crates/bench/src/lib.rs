@@ -14,12 +14,13 @@
 //! * `sensitivity` — rank elasticity per Table 4 knob (§6).
 //!
 //! The binaries print tables, not measurements; the repository
-//! benchmark (`perfbench/README.md`) times the same workloads. The text
-//! of `table3`, `table4`, `figure2`, `equivalence`, `ablation` and
-//! `sensitivity` comes from [`table3`], [`table4_heading`] and
-//! [`table4_column`], [`figure2`], [`equivalence`], [`ablation`] and
-//! [`sensitivity`], which `tests/results_bytes.rs` compares byte for
-//! byte with `docs/results`.
+//! benchmark (`perfbench/README.md`) times the same workloads. Every
+//! binary's text comes from a function here — [`table3`],
+//! [`table4_heading`] and [`table4_column`], [`figure2`],
+//! [`equivalence`], [`nodes`], [`ablation`], [`optimize_heading`] and
+//! [`optimize_node`], and [`sensitivity`] — which
+//! `tests/results_bytes.rs` compares byte for byte with
+//! `docs/results`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +28,7 @@
 use ia_arch::Architecture;
 use ia_delay::{StageCharging, TargetDelayModel};
 use ia_rank::canon::{BindError, BoundConfig};
+use ia_rank::optimize::{optimize_stack, pareto_front, StackSearchSpace};
 use ia_rank::sensitivity::sensitivities;
 use ia_rank::sweep::{equivalent_reductions, sweep_axis, Axis, SweepPoint};
 use ia_rank::{dp, exact, exhaustive, greedy, toy, RankProblem};
@@ -39,6 +41,10 @@ pub const PAPER_GATES: u64 = 1_000_000;
 
 /// The paper's bunch size (§5.2).
 pub const PAPER_BUNCH_SIZE: u64 = 10_000;
+
+/// The largest design `optimize` searches, which keeps its grid of
+/// 45 stacks on three nodes quick.
+pub const OPTIMIZE_MAX_GATES: u64 = 400_000;
 
 const GATES_ENV: &str = "IA_BENCH_GATES";
 
@@ -281,6 +287,53 @@ pub fn figure2() -> String {
     out
 }
 
+/// The §5.2 multi-node baselines: the paper ran 1M gates at 180 nm
+/// and 130 nm and 4M gates at 90 nm, and printed only the 130 nm
+/// results "for space reasons"; this table fills in the other two.
+///
+/// # Errors
+///
+/// Returns the error of a problem that fails to bind or build.
+pub fn nodes() -> Result<String, Box<dyn std::error::Error>> {
+    let runs = [
+        ("180", PAPER_GATES),
+        ("130", PAPER_GATES),
+        ("90", 4 * PAPER_GATES),
+    ];
+    let mut t = Table::new([
+        "node",
+        "gates",
+        "total wires",
+        "rank",
+        "normalized",
+        "greedy rank",
+        "die (mm²)",
+    ]);
+    for (node, gates) in runs {
+        let config = BoundConfig {
+            node: node.to_owned(),
+            ..baseline_config(gates)
+        };
+        let bound = config.bind()?;
+        let problem = bound.builder()?.build()?;
+        let r = problem.rank();
+        let g = problem.greedy_rank();
+        t.row([
+            bound.node.name().to_owned(),
+            gates.to_string(),
+            r.total_wires().to_string(),
+            r.rank().to_string(),
+            format!("{:.6}", r.normalized()),
+            g.rank().to_string(),
+            format!("{:.2}", problem.die().die_area().square_millimeters()),
+        ]);
+    }
+    Ok(format!(
+        "Baseline rank across technology nodes (paper §5.2 experiment set)\n\n{t}\n\
+         (paper runtime bound: no rank computation exceeded 200 s on 2003 hardware)\n"
+    ))
+}
+
 /// The ablations of the design choices DESIGN.md calls out, at 200 000
 /// gates except the target-delay regime, which runs at `regime_gates`:
 ///
@@ -481,6 +534,52 @@ pub fn equivalence(gates: u64) -> Result<String, BindError> {
         ));
     }
     Ok(out)
+}
+
+/// The `optimize` heading at `gates`, and the blank line after it.
+#[must_use]
+pub fn optimize_heading(gates: u64) -> String {
+    format!("Stack optimization by rank (paper future work), {gates} gates\n\n")
+}
+
+/// The paper's announced future work on one node: rank every stack
+/// within a 6-pair mask budget (with fat semi-global variants) at
+/// `gates`, and print the candidate count and the cost/quality Pareto
+/// front, followed by a blank line.
+///
+/// # Errors
+///
+/// Returns the error of a gate count the WLD model rejects or a stack
+/// that fails to build.
+pub fn optimize_node(
+    node: &TechnologyNode,
+    gates: u64,
+) -> Result<String, Box<dyn std::error::Error>> {
+    let space = StackSearchSpace {
+        max_total_pairs: 6,
+        global_pairs: 1..=2,
+        semi_global_pairs: 1..=4,
+        local_pairs: 0..=1,
+        semi_global_pitch_scales: vec![1.0, 1.5, 2.0],
+    };
+    let spec = WldSpec::new(gates)?;
+    let ranked = optimize_stack(node, &space, |b| {
+        b.wld_spec(spec).bunch_size(PAPER_BUNCH_SIZE)
+    })?;
+    let mut t = Table::new(["pairs", "stack", "rank", "normalized"]);
+    for e in pareto_front(&ranked) {
+        t.row([
+            e.candidate.total_pairs().to_string(),
+            e.candidate.to_string(),
+            e.rank.to_string(),
+            format!("{:.6}", e.normalized),
+        ]);
+    }
+    Ok(format!(
+        "— {} ({} candidates) —\n{t}\n",
+        node.name(),
+        ranked.len()
+    ))
 }
 
 /// The §6 co-optimization claim at `gates`: the rank's elasticity to

@@ -1,17 +1,19 @@
 //! The paper binaries' result files as a byte contract: `table3`,
-//! `table4`, `figure2`, `equivalence`, `ablation` and `sensitivity` at
-//! the paper's 1M gates must print exactly the committed `docs/results`
-//! files. `table3` and `figure2` solve nothing at scale and always run;
-//! the others take a few seconds together in release, so they are
-//! ignored by default and CI runs them with
+//! `table4`, `figure2`, `equivalence`, `nodes`, `ablation`, `optimize`
+//! and `sensitivity` at the paper's scale must print exactly the
+//! committed `docs/results` files. `table3` and `figure2` solve nothing
+//! at scale and always run; the others take several seconds each in
+//! release, so they are ignored by default and CI runs them with
 //! `cargo test --release -p ia-bench -- --ignored`.
 
 use std::path::Path;
 
 use ia_bench::{
-    ablation, equivalence, figure2, sensitivity, table3, table4_column, table4_heading, PAPER_GATES,
+    ablation, equivalence, figure2, nodes, optimize_heading, optimize_node, sensitivity, table3,
+    table4_column, table4_heading, OPTIMIZE_MAX_GATES, PAPER_GATES,
 };
 use ia_rank::sweep::Axis;
+use ia_tech::presets;
 
 fn expected(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -59,4 +61,22 @@ fn sensitivity_matches_its_result_file() {
 fn ablation_matches_its_result_file() {
     let text = ablation(PAPER_GATES).expect("problems build");
     assert_eq!(text, expected("ablation.txt"));
+}
+
+#[test]
+#[ignore = "2 solves at 1M gates and 1 at 4M; run in release with --ignored"]
+fn nodes_matches_its_result_file() {
+    let text = nodes().expect("problems build");
+    assert_eq!(text, expected("nodes.txt"));
+}
+
+#[test]
+#[ignore = "45 stacks on each of three nodes at 400k gates; run in release with --ignored"]
+fn optimize_matches_its_result_file() {
+    let gates = PAPER_GATES.min(OPTIMIZE_MAX_GATES);
+    let mut text = optimize_heading(gates);
+    for node in presets::all() {
+        text.push_str(&optimize_node(&node, gates).expect("stacks rank"));
+    }
+    assert_eq!(text, expected("optimize.txt"));
 }

@@ -13,7 +13,7 @@ use std::fmt;
 /// is the switch's value only when it is `true`, `false`, `1` or `0`
 /// (stored as `true` or `false`). An inline `--flag=value` must be one
 /// of those four.
-pub const SWITCHES: [&str; 5] = ["profile", "parallel", "fleet", "csv", "detail"];
+pub const SWITCHES: [&str; 4] = ["parallel", "fleet", "csv", "detail"];
 
 /// A switch value as stored: `true`/`1` → `true`, `false`/`0` →
 /// `false`, anything else `None`.
@@ -254,7 +254,6 @@ mod tests {
         let a = ParsedArgs::parse([
             "sweep",
             "--parallel",
-            "--profile",
             "true",
             "--csv",
             "0",
@@ -264,7 +263,6 @@ mod tests {
         ])
         .unwrap();
         assert!(a.get("parallel", false).unwrap());
-        assert!(a.get("profile", false).unwrap());
         assert!(!a.get("csv", true).unwrap());
         assert!(a.get("fleet", false).unwrap());
         assert_eq!(a.get_str("axis").as_deref(), Some("r"));
@@ -286,15 +284,15 @@ mod tests {
             "corpus",
             "--csv=1",
             "--fleet=0",
-            "--parallel=true",
-            "--profile=false",
+            "--detail=true",
+            "--parallel=false",
         ])
         .unwrap();
         assert!(c.get("csv", false).unwrap());
         assert!(!c.get("fleet", true).unwrap());
-        assert!(c.get("parallel", false).unwrap());
-        assert!(!c.get("profile", true).unwrap());
-        assert_eq!(c.get_str("profile").as_deref(), Some("false"));
+        assert!(c.get("detail", false).unwrap());
+        assert!(!c.get("parallel", true).unwrap());
+        assert_eq!(c.get_str("parallel").as_deref(), Some("false"));
         for bad in ["--csv=yes", "--csv="] {
             match ParsedArgs::parse(["corpus", bad]).unwrap_err() {
                 ArgsError::BadValue { flag, value, .. } => {

@@ -61,27 +61,21 @@ pub enum MetricsFormat {
 
 /// Telemetry-reporting flags shared by every subcommand.
 ///
-/// Parsed **before** dispatch so `--metrics`/`--profile`/`--trace`
-/// count as consumed when the subcommand calls `reject_unknown`, and
-/// so the collector (and event tracer) can be enabled before any
+/// Parsed **before** dispatch so `--metrics`/`--trace` count as
+/// consumed when the subcommand calls `reject_unknown`, and so the
+/// collector (and event tracer) can be enabled before any
 /// instrumented code runs.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsOptions {
     /// Requested snapshot format, if any.
     pub format: Option<MetricsFormat>,
-    /// Whether to print the span-timing tree.
-    pub profile: bool,
-    /// Path for the aggregated span profile, if `--prof-out` was
-    /// given. A `.json` extension selects the `ia-prof-v1` JSON tree;
-    /// anything else gets folded-stack flamegraph text.
-    pub prof_out: Option<String>,
     /// Path for the Chrome trace-event export, if `--trace` was given.
     pub trace: Option<String>,
 }
 
 impl MetricsOptions {
-    /// Reads `--metrics text|json`, `--profile`, `--prof-out PATH` and
-    /// `--trace PATH` from the parsed args.
+    /// Reads `--metrics text|json` and `--trace PATH` from the parsed
+    /// args.
     ///
     /// # Errors
     ///
@@ -97,50 +91,20 @@ impl MetricsOptions {
                 )))
             }
         };
-        let profile = args.get("profile", false)?;
-        let prof_out = args.get_str("prof-out");
         let trace = args.get_str("trace");
-        Ok(Self {
-            format,
-            profile,
-            prof_out,
-            trace,
-        })
+        Ok(Self { format, trace })
     }
 
     /// Whether the collector must be enabled before dispatch.
     #[must_use]
     pub fn wants_collector(&self) -> bool {
-        self.format.is_some() || self.profile || self.prof_out.is_some()
+        self.format.is_some()
     }
 
     /// Whether event tracing must be enabled before dispatch.
     #[must_use]
     pub fn wants_trace(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Writes the aggregated span profile to the `--prof-out` path:
-    /// the `ia-prof-v1` JSON tree when the path ends in `.json`,
-    /// folded-stack flamegraph text otherwise. Returns the path
-    /// written, or `None` when `--prof-out` was not given.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Domain`] when the file cannot be written.
-    pub fn write_prof(&self) -> Result<Option<String>, CliError> {
-        let Some(path) = &self.prof_out else {
-            return Ok(None);
-        };
-        let profile = ia_obs::Profile::from_snapshot(&ia_obs::snapshot());
-        let body = if path.ends_with(".json") {
-            profile.to_json_string()
-        } else {
-            profile.to_folded()
-        };
-        std::fs::write(path, body)
-            .map_err(|e| CliError::Domain(format!("cannot write profile {path}: {e}")))?;
-        Ok(Some(path.clone()))
     }
 
     /// Drains the buffered trace events and writes the Chrome
@@ -160,33 +124,18 @@ impl MetricsOptions {
         Ok(Some(path.clone()))
     }
 
-    /// Renders the current thread's collector snapshot according to the
-    /// requested options. Empty when neither flag was given. The JSON
-    /// form is always last so it stays the final stdout line.
+    /// Renders the current thread's collector snapshot in the
+    /// requested format. Empty when `--metrics` was not given. The
+    /// JSON form is always last so it stays the final stdout line.
     #[must_use]
     pub fn render(&self) -> String {
-        if !self.wants_collector() {
-            return String::new();
-        }
-        let snapshot = ia_obs::snapshot();
-        let mut out = String::new();
-        if self.profile {
-            out.push_str("\n-- profile --\n");
-            out.push_str(&ia_obs::Profile::from_snapshot(&snapshot).to_text());
-        }
         match self.format {
             Some(MetricsFormat::Text) => {
-                out.push_str("\n-- metrics --\n");
-                out.push_str(&snapshot.to_text());
+                format!("\n-- metrics --\n{}", ia_obs::snapshot().to_text())
             }
-            Some(MetricsFormat::Json) => {
-                out.push('\n');
-                out.push_str(&snapshot.to_json_string());
-                out.push('\n');
-            }
-            None => {}
+            Some(MetricsFormat::Json) => format!("\n{}\n", ia_obs::snapshot().to_json_string()),
+            None => String::new(),
         }
-        out
     }
 }
 
@@ -847,14 +796,9 @@ SERVE FLAGS:
 
 TELEMETRY FLAGS (any command):
   --metrics text|json      print solver counters and span timings after
-                           the command output (json is one compact
-                           object on the final stdout line)
-  --profile                print the aggregated span-profile tree
-                           (--profile true also accepted)
-  --prof-out FILE          write the aggregated span profile: folded
-                           flamegraph stacks (inferno / speedscope),
-                           or the ia-prof-v1 JSON tree when FILE ends
-                           in .json
+                           the command output (text shows the spans as
+                           a call tree with self times; json is one
+                           compact object on the final stdout line)
   --trace FILE.json        record span/counter events and write a
                            Chrome trace-event file (open it at
                            ui.perfetto.dev or chrome://tracing)
@@ -862,8 +806,7 @@ TELEMETRY FLAGS (any command):
 EXAMPLES:
   iarank rank --node 130 --gates 1000000 --detail true
   iarank rank --gates 400000 --metrics json
-  iarank sweep --axis r --gates 400000 --profile
-  iarank rank --gates 400000 --prof-out rank.folded
+  iarank sweep --axis r --gates 400000 --metrics text
   iarank sweep --axis k --gates 400000 --parallel --trace sweep.json
   iarank wld --gates 250000 --out design.csv
   iarank optimize --node 90 --max-pairs 5 --gates 400000
@@ -1020,6 +963,12 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let err = run(&["rank", "--gates", "30000", "--typo", "1"]).unwrap_err();
         assert!(err.to_string().contains("--typo"));
+        // The telemetry flags are read before dispatch, as in `main`.
+        let args = ParsedArgs::parse(["rank", "--gates", "30000", "--prof-out", "x"]).unwrap();
+        MetricsOptions::from_args(&args).unwrap();
+        let err = dispatch(&args).unwrap_err();
+        assert!(matches!(err, CliError::Args(_)), "{err}");
+        assert!(err.to_string().contains("--prof-out"));
     }
 
     #[test]
@@ -1148,7 +1097,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_text_and_profile_render_human_tables() {
+    fn metrics_text_renders_spans_as_a_call_tree() {
         let (_, metrics) = run_with_metrics(&[
             "rank",
             "--gates",
@@ -1157,65 +1106,21 @@ mod tests {
             "3000",
             "--metrics",
             "text",
-            "--profile",
-            "true",
         ]);
-        assert!(metrics.profile);
         let rendered = metrics.render();
-        assert!(rendered.contains("-- profile --"));
         assert!(rendered.contains("-- metrics --"));
-        assert!(rendered.contains("dp.solve"));
         assert!(rendered.contains("dp.states"));
-    }
-
-    #[test]
-    fn prof_out_writes_valid_folded_stacks_and_json() {
-        let dir = std::env::temp_dir().join(format!("iarank_prof_cli_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let folded_path = dir.join("rank.folded");
-        let (_, metrics) = run_with_metrics(&[
-            "rank",
-            "--gates",
-            "30000",
-            "--bunch",
-            "3000",
-            "--prof-out",
-            folded_path.to_str().unwrap(),
-        ]);
-        assert!(
-            metrics.wants_collector(),
-            "--prof-out enables the collector"
-        );
-        assert_eq!(
-            metrics.write_prof().unwrap().as_deref(),
-            folded_path.to_str(),
-            "write_prof reports the written path"
-        );
-        let folded = std::fs::read_to_string(&folded_path).unwrap();
-        let parsed = ia_obs::Profile::from_folded(&folded).expect("folded output parses");
-        assert_eq!(
-            parsed.to_folded(),
-            folded,
-            "folded export round-trips byte-identically"
-        );
-        assert!(
-            folded.lines().any(|l| l.starts_with("dp.solve")),
-            "solver stacks present: {folded}"
-        );
-
-        let json_path = dir.join("rank.json");
-        let json_metrics = MetricsOptions {
-            prof_out: Some(json_path.to_str().unwrap().to_owned()),
-            ..MetricsOptions::default()
-        };
-        json_metrics.write_prof().unwrap();
-        let doc = ia_obs::json::JsonValue::parse(&std::fs::read_to_string(&json_path).unwrap())
-            .expect("profile JSON parses");
-        assert_eq!(
-            doc.get("schema").and_then(ia_obs::json::JsonValue::as_str),
-            Some("ia-prof-v1")
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+        let indent = |line: &str| line.len() - line.trim_start().len();
+        let solve = rendered
+            .lines()
+            .find(|l| l.trim_start().starts_with("dp.solve "))
+            .expect("a dp.solve line");
+        let expand = rendered
+            .lines()
+            .find(|l| l.trim_start().starts_with("expand "))
+            .expect("an expand line");
+        assert!(solve.contains("self=") && expand.contains("self="));
+        assert_eq!(indent(expand), indent(solve) + 2, "{rendered}");
     }
 
     #[test]

@@ -24,18 +24,23 @@ fn write_stdout(text: &str) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
         Err(e) => {
-            eprintln!("error: cannot write output: {e}");
+            write_stderr(&format!("error: cannot write output: {e}\n"));
             std::process::exit(1);
         }
     }
+}
+
+/// Writes diagnostics to stderr. A closed stderr must not turn an
+/// error into a panic, so the exit code stays the command's own.
+fn write_stderr(text: &str) {
+    let _ = std::io::stderr().write_all(text.as_bytes());
 }
 
 fn main() {
     let parsed = match ParsedArgs::parse(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::usage());
+            write_stderr(&format!("error: {e}\n{}\n", commands::usage()));
             std::process::exit(2);
         }
     };
@@ -45,7 +50,7 @@ fn main() {
     let metrics = match MetricsOptions::from_args(&parsed) {
         Ok(metrics) => metrics,
         Err(e) => {
-            eprintln!("error: {e}");
+            write_stderr(&format!("error: {e}\n"));
             std::process::exit(1);
         }
     };
@@ -59,22 +64,13 @@ fn main() {
         Ok(output) => {
             write_stdout(&output);
             write_stdout(&metrics.render());
-            // The profile and trace go to their own files;
-            // confirmations go to stderr so `--metrics json | tail -n 1`
-            // stays intact.
-            match metrics.write_prof() {
-                Ok(Some(path)) => eprintln!("profile written to {path}"),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
+            // The trace goes to its own file; the confirmation goes to
+            // stderr so `--metrics json | tail -n 1` stays intact.
             match metrics.write_trace() {
-                Ok(Some(path)) => eprintln!("trace written to {path}"),
+                Ok(Some(path)) => write_stderr(&format!("trace written to {path}\n")),
                 Ok(None) => {}
                 Err(e) => {
-                    eprintln!("error: {e}");
+                    write_stderr(&format!("error: {e}\n"));
                     std::process::exit(1);
                 }
             }
@@ -82,12 +78,11 @@ fn main() {
         // Usage is shown exactly for argument errors (exit 2); domain
         // failures get the bare message (exit 1).
         Err(CliError::Args(e)) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::usage());
+            write_stderr(&format!("error: {e}\n{}\n", commands::usage()));
             std::process::exit(2);
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            write_stderr(&format!("error: {e}\n"));
             std::process::exit(1);
         }
     }

@@ -132,6 +132,39 @@ fn a_closed_stdout_exits_zero_without_a_panic() {
 }
 
 #[test]
+fn a_closed_stderr_exits_with_the_commands_own_code() {
+    // As above, the read end is dropped before the spawn, so every
+    // write to stderr fails with a broken pipe.
+    let dir = std::env::temp_dir().join(format!("iarank_closed_stderr_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.json");
+    let trace_arg = trace.to_str().expect("utf8 path");
+    let cases: [(&[&str], i32); 3] = [
+        (&["optimize", "--global", "2", "--gates", "30000"], 2),
+        (&["rank", "--gates", "5"], 1),
+        (
+            &[
+                "rank", "--gates", "30000", "--bunch", "3000", "--trace", trace_arg,
+            ],
+            0,
+        ),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = iarank()
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("binary runs");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+    assert!(trace.is_file(), "the trace is written all the same");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
 fn boolean_switches_take_an_explicit_value() {
     let sweep = [
         "sweep", "--axis", "r", "--gates", "30000", "--bunch", "3000",
@@ -145,10 +178,6 @@ fn boolean_switches_take_an_explicit_value() {
     assert_eq!(parallel, serial, "the worker count never changes the table");
     let explicit = run_ok(&[&sweep[..], &["--parallel", "true"]].concat());
     assert_eq!(explicit, parallel);
-    // The profile tree follows the table.
-    let profiled = run_ok(&[&sweep[..], &["--profile", "true"]].concat());
-    assert!(profiled.starts_with(&parallel), "{profiled}");
-    assert!(profiled.len() > parallel.len(), "a profile was printed");
 
     // `--detail` stands alone too; any other next token is a stray
     // argument, not a value that quietly drops the table.

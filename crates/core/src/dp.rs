@@ -373,7 +373,7 @@ pub fn rank(inst: &Instance) -> Solution {
 
     // End the solve span here: the strict-invariants cross-check below
     // re-solves the instance at zero budget, and that debug contract
-    // must not count as (or nest inside) this solve's phase profile.
+    // must not count as (or nest inside) this solve's span tree.
     drop(_solve_span);
 
     #[cfg(feature = "strict-invariants")]

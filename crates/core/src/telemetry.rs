@@ -70,7 +70,7 @@ pub mod names {
     /// Span: the `strict-invariants` budget-monotonicity cross-check —
     /// a zero-budget re-solve of the instance. Recorded as a sibling of
     /// [`SPAN_DP_SOLVE`] (never inside it) so debug contracts stay out
-    /// of the solver's phase profile.
+    /// of the solve's span tree.
     pub const SPAN_DP_STRICT_RECHECK: &str = "strict.recheck";
     /// Span: solution-path reconstruction (nested under the expansion
     /// phase of [`SPAN_DP_SOLVE`]).

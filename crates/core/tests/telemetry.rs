@@ -89,9 +89,9 @@ fn reconstruct_span_nests_under_the_expand_phase() {
 
 /// The solver's spans are per phase: `seed` and `expand` under
 /// `dp.solve`, and only `reconstruct` under `expand`. Together `seed`
-/// and `expand` account for nearly all of `dp.solve`'s time — the
-/// property the `--prof-out` flamegraph export relies on. The inner
-/// loop is counted instead of timed.
+/// and `expand` account for nearly all of `dp.solve`'s time, so the
+/// self time `--metrics text` shows for `dp.solve` stays small. The
+/// inner loop is counted instead of timed.
 #[test]
 fn dp_phase_spans_nest_and_cover_the_solve() {
     ia_obs::set_enabled(true);

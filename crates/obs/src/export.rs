@@ -163,7 +163,16 @@ impl Snapshot {
         self.to_json().render()
     }
 
-    /// A human-readable multi-line rendering.
+    /// A human-readable multi-line rendering. The spans print as a
+    /// call tree, each child indented two spaces under its parent;
+    /// `self` is a span's total minus its direct children's totals
+    /// (saturating, so clock skew never underflows):
+    ///
+    /// ```text
+    /// spans:
+    ///   dp.solve  calls=1      total=35.1ms   self=1.0ms    min=35.1ms   max=35.1ms
+    ///     expand  calls=3      total=34.1ms   self=34.1ms   min=9.2ms    max=14.0ms
+    /// ```
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -178,14 +187,7 @@ impl Snapshot {
         if self.spans.is_empty() {
             out.push_str("  (none)\n");
         }
-        for (path, stat) in &self.spans {
-            let _ = writeln!(
-                out,
-                "  {path}: calls={} total={}",
-                stat.calls,
-                fmt_ns(stat.total_ns)
-            );
-        }
+        self.write_spans(&mut out);
         out.push_str("histograms:\n");
         if self.histograms.is_empty() {
             out.push_str("  (none)\n");
@@ -205,51 +207,58 @@ impl Snapshot {
         out
     }
 
-    /// The spans as an indented tree, one line per path, children
-    /// under their parents:
-    ///
-    /// ```text
-    /// span tree:
-    ///   dp.solve            calls=1  total=35.1ms
-    ///     reconstruct       calls=1  total=0.4ms
-    /// ```
-    #[must_use]
-    pub fn span_tree(&self) -> String {
-        let mut out = String::from("span tree:\n");
-        if self.spans.is_empty() {
-            out.push_str("  (no spans recorded)\n");
-            return out;
+    /// One line per span path, in depth-first order with siblings
+    /// sorted by name.
+    fn write_spans(&self, out: &mut String) {
+        let mut child_totals: BTreeMap<&str, u64> = BTreeMap::new();
+        for (path, stat) in &self.spans {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                let sum = child_totals.entry(parent).or_default();
+                *sum = sum.saturating_add(stat.total_ns);
+            }
         }
-        // BTreeMap order visits parents before their children
-        // (`a` < `a/b`) and keeps siblings sorted.
-        let name_width = self
-            .spans
-            .keys()
-            .map(|path| {
-                let depth = path.matches('/').count();
-                let name_len = path.rsplit('/').next().map_or(0, str::len);
-                2 * depth + name_len
+        // Compare segment by segment: plain string order puts `dp.x`
+        // between `dp` and `dp/child` (`.` < `/`), splitting `dp`'s
+        // subtree.
+        let mut paths: Vec<(&str, &SpanStat)> =
+            self.spans.iter().map(|(p, s)| (p.as_str(), s)).collect();
+        paths.sort_by(|(a, _), (b, _)| a.split('/').cmp(b.split('/')));
+        let width = paths
+            .iter()
+            .map(|(path, _)| {
+                let (depth, name) = depth_and_name(path);
+                2 * depth + name.len()
             })
             .max()
             .unwrap_or(0);
-        for (path, stat) in &self.spans {
-            let depth = path.matches('/').count();
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let indent = "  ".repeat(depth);
+        for (path, stat) in paths {
+            let (depth, name) = depth_and_name(path);
+            let self_ns = stat
+                .total_ns
+                .saturating_sub(child_totals.get(path).copied().unwrap_or(0));
             let _ = writeln!(
                 out,
-                "  {indent}{name:<width$}  calls={:<6} total={}",
+                "  {indent}{name:<pad$}  calls={:<6} total={:<8} self={:<8} min={:<8} max={}",
                 stat.calls,
                 fmt_ns(stat.total_ns),
-                width = name_width - 2 * depth,
+                fmt_ns(self_ns),
+                fmt_ns(stat.min_ns),
+                fmt_ns(stat.max_ns),
+                indent = "  ".repeat(depth),
+                pad = width - 2 * depth,
             );
         }
-        out
     }
 }
 
+/// A span path's nesting depth and its last segment.
+fn depth_and_name(path: &str) -> (usize, &str) {
+    let name = path.rsplit('/').next().unwrap_or(path);
+    (path.matches('/').count(), name)
+}
+
 /// Formats nanoseconds with a readable unit (ns / µs / ms / s).
-pub(crate) fn fmt_ns(ns: u64) -> String {
+fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
     } else if ns < 1_000_000 {
@@ -353,28 +362,116 @@ mod tests {
     fn text_export_lists_every_section() {
         let text = sample().to_text();
         assert!(text.contains("dp.states = 42"));
-        assert!(text.contains("dp.solve: calls=1 total=1.5ms"));
         assert!(text.contains("dp.front_len: count=3 min=1 max=5 mean=3.00"));
         let empty = Snapshot::default().to_text();
         assert!(empty.contains("counters:\n  (none)"));
+        assert!(empty.contains("spans:\n  (none)"));
+    }
+
+    fn stat(calls: u64, total_ns: u64, min_ns: u64, max_ns: u64) -> SpanStat {
+        SpanStat {
+            calls,
+            total_ns,
+            min_ns,
+            max_ns,
+        }
+    }
+
+    /// The `spans:` section of `to_text`: per line, the indent, the
+    /// name and the whitespace-separated fields.
+    fn span_lines(snap: &Snapshot) -> Vec<(usize, String, Vec<String>)> {
+        snap.to_text()
+            .lines()
+            .skip_while(|line| *line != "spans:")
+            .skip(1)
+            .take_while(|line| line.starts_with(' '))
+            .map(|line| {
+                let body = line.trim_start();
+                let mut words = body.split_whitespace().map(str::to_owned);
+                let name = words.next().unwrap_or_default();
+                (line.len() - body.len(), name, words.collect())
+            })
+            .collect()
     }
 
     #[test]
-    fn span_tree_indents_children_under_parents() {
-        let tree = sample().span_tree();
-        let lines: Vec<&str> = tree.lines().collect();
-        assert_eq!(lines[0], "span tree:");
-        assert!(lines[1].trim_start().starts_with("dp.solve"));
-        assert!(
-            lines[2].starts_with("    reconstruct")
-                || lines[2].trim_start().starts_with("reconstruct")
+    fn spans_print_as_a_call_tree_with_self_times() {
+        let mut snap = Snapshot::default();
+        snap.spans.insert("sweep.k".to_owned(), stat(1, 40, 40, 40));
+        snap.spans
+            .insert("dp.solve/reconstruct".to_owned(), stat(1, 250, 250, 250));
+        snap.spans.insert(
+            "dp.solve/expand/front.merge".to_owned(),
+            stat(9, 450, 10, 90),
         );
-        let parent_indent = lines[1].len() - lines[1].trim_start().len();
-        let child_indent = lines[2].len() - lines[2].trim_start().len();
-        assert!(
-            child_indent > parent_indent,
-            "child is indented deeper:\n{tree}"
+        snap.spans
+            .insert("dp.solve/expand".to_owned(), stat(3, 600, 100, 300));
+        snap.spans
+            .insert("dp.solve".to_owned(), stat(1, 1_000, 1_000, 1_000));
+        let lines = span_lines(&snap);
+        let shape: Vec<(usize, &str)> = lines.iter().map(|(i, n, _)| (*i, n.as_str())).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (2, "dp.solve"),
+                (4, "expand"),
+                (6, "front.merge"),
+                (4, "reconstruct"),
+                (2, "sweep.k"),
+            ],
+            "children under their parent, siblings by name"
         );
+        assert_eq!(
+            lines[0].2,
+            [
+                "calls=1",
+                "total=1.0µs",
+                "self=150ns",
+                "min=1.0µs",
+                "max=1.0µs"
+            ],
+            "self is 1000 - (600 + 250)"
+        );
+        assert_eq!(lines[1].2[2], "self=150ns", "600 - 450");
+        assert_eq!(lines[2].2[2], "self=450ns", "a leaf keeps it all");
+        assert_eq!(
+            lines[2].2,
+            [
+                "calls=9",
+                "total=450ns",
+                "self=450ns",
+                "min=10ns",
+                "max=90ns"
+            ]
+        );
+        assert_eq!(lines[3].2[2], "self=250ns");
+    }
+
+    #[test]
+    fn span_self_time_saturates_at_zero() {
+        // Clock skew can make children outlast their parent.
+        let mut snap = Snapshot::default();
+        snap.spans.insert("a".to_owned(), stat(1, 100, 100, 100));
+        snap.spans.insert("a/b".to_owned(), stat(2, 70, 30, 40));
+        snap.spans.insert("a/c".to_owned(), stat(1, 60, 60, 60));
+        let lines = span_lines(&snap);
+        assert_eq!(lines[0].2[2], "self=0ns");
+        assert_eq!(lines[1].2[2], "self=70ns");
+    }
+
+    #[test]
+    fn dotted_sibling_does_not_split_a_subtree() {
+        // String order puts `dp.x` between `dp` and `dp/child`.
+        let mut snap = Snapshot::default();
+        snap.spans.insert("dp".to_owned(), stat(1, 100, 100, 100));
+        snap.spans.insert("dp.x".to_owned(), stat(1, 5, 5, 5));
+        snap.spans
+            .insert("dp/child".to_owned(), stat(2, 60, 20, 40));
+        let lines = span_lines(&snap);
+        let shape: Vec<(usize, &str)> = lines.iter().map(|(i, n, _)| (*i, n.as_str())).collect();
+        assert_eq!(shape, vec![(2, "dp"), (4, "child"), (2, "dp.x")]);
+        assert_eq!(lines[0].2[2], "self=40ns", "dp.x is not dp's child");
+        assert_eq!(lines[2].2[2], "self=5ns");
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl std::error::Error for JsonError {}
 /// How deeply arrays and objects may nest in a parsed document. The
 /// parser recurses once per level, so without a limit a body of
 /// nothing but `[` overflows the stack and aborts the process. Every
-/// document the workspace writes, profiles included, nests far less.
+/// document the workspace writes nests far less.
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser {

@@ -44,13 +44,10 @@
 //! ([`push_context`]), so a request id or a run id follows every span
 //! a request or a run opens, across worker threads.
 //!
-//! Two more views of the same records:
-//!
-//! - [`prometheus`] — the Prometheus text exposition (0.0.4) view of a
-//!   [`Snapshot`];
-//! - [`prof`] — deterministic hierarchical call-tree profiles
-//!   aggregated from span snapshots, exported as the exact-`u64`
-//!   `ia-prof-v1` JSON tree or folded-stack flamegraph text.
+//! A [`Snapshot`] has three renderings: the exact-`u64` JSON tree
+//! ([`Snapshot::to_json`]), a text view that prints the spans as a
+//! call tree with self times ([`Snapshot::to_text`]), and the
+//! Prometheus text exposition (0.0.4) in [`prometheus`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +56,6 @@ mod collector;
 mod export;
 mod histogram;
 pub mod json;
-pub mod prof;
 pub mod prometheus;
 mod span;
 mod stopwatch;
@@ -71,7 +67,6 @@ pub use collector::{
 };
 pub use export::{HistogramStat, Snapshot, SpanStat};
 pub use histogram::{bucket_index, bucket_upper_bound, BUCKETS};
-pub use prof::{Profile, ProfileNode};
 pub use span::{span, Span};
 pub use stopwatch::Stopwatch;
 pub use trace::{

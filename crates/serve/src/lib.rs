@@ -15,9 +15,8 @@
 //! * `GET /healthz` — liveness plus queue/cache occupancy, and in
 //!   fleet mode the fleet's worker, queue and lease occupancy;
 //! * `GET /metrics` — the merged `ia-obs` telemetry snapshot, as JSON
-//!   or as Prometheus text;
-//! * `GET /debug/prof` (and `POST /debug/prof/start`) — the span
-//!   profile of the server's lifetime or of a window;
+//!   or as Prometheus text (a window is the difference of two
+//!   scrapes);
 //! * `POST /fleet/register|claim|result` — the distributed-dse worker
 //!   protocol (fleet mode; see [`fleet`]), the workspace's one way to
 //!   spread a run over several processes or machines;

@@ -16,8 +16,8 @@
 //! lifetime — so every span and trace event the request produces
 //! carries it. `GET /metrics` content-negotiates between the
 //! exact-`u64` JSON tree and the Prometheus 0.0.4 text exposition
-//! (`Accept: text/plain`); `GET /debug/prof` profiles the spans. A
-//! panicking handler answers `500` and counts `serve.panics`.
+//! (`Accept: text/plain`). A panicking handler answers `500` and
+//! counts `serve.panics`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -32,9 +32,7 @@ use ia_dse::scheduler::{execute, ExecOptions, ExecOutcome};
 use ia_dse::{DseError, ExperimentSpec, RunOptions, RunOutcome};
 use ia_obs::json::JsonValue;
 use ia_obs::prometheus::PromWriter;
-use ia_obs::{
-    counter_add, counter_max, histogram_record, MergeSink, Profile, Snapshot, SpanStat, Stopwatch,
-};
+use ia_obs::{counter_add, counter_max, histogram_record, MergeSink, Snapshot, Stopwatch};
 use ia_rank::canon::{BindError, BoundConfig};
 use ia_rank::sensitivity::{self, elasticities};
 use ia_rank::sweep::{self, CachedSolve, PointCache};
@@ -146,10 +144,6 @@ struct Shared {
     job_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Request ids handed out per accepted request, starting at 1.
     next_request: AtomicU64,
-    /// Baseline snapshot taken by `POST /debug/prof/start`; `GET
-    /// /debug/prof` profiles the span deltas since it. `None` until a
-    /// window is started — then the full-lifetime profile is served.
-    prof_baseline: Mutex<Option<Snapshot>>,
     /// Fleet coordinator bookkeeping; `Some` only in fleet mode.
     fleet: Option<FleetState>,
 }
@@ -207,7 +201,6 @@ impl Server {
             next_job: AtomicU64::new(0),
             job_handles: Mutex::new(Vec::new()),
             next_request: AtomicU64::new(0),
-            prof_baseline: Mutex::new(None),
         });
 
         let acceptor = {
@@ -398,8 +391,6 @@ fn route(shared: &Arc<Shared>, request: &Request, started: &Stopwatch) -> http::
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => json(healthz(shared)),
         ("GET", "/metrics") => metrics(shared, request),
-        ("POST", "/debug/prof/start") => prof_start(shared),
-        ("GET", "/debug/prof") => prof_report(shared),
         ("POST", "/debug/panic") => {
             // Deliberate fault injection so the panic → 500 path stays
             // testable end to end. `panic_any` (rather than the
@@ -425,9 +416,8 @@ fn route(shared: &Arc<Shared>, request: &Request, started: &Stopwatch) -> http::
         }
         (
             _,
-            "/healthz" | "/metrics" | "/debug/prof" | "/debug/prof/start" | "/debug/panic"
-            | "/solve" | "/sweep" | "/sensitivity" | "/dse" | "/fleet/register" | "/fleet/claim"
-            | "/fleet/result" | "/shutdown",
+            "/healthz" | "/metrics" | "/debug/panic" | "/solve" | "/sweep" | "/sensitivity"
+            | "/dse" | "/fleet/register" | "/fleet/claim" | "/fleet/result" | "/shutdown",
         ) => json((
             405,
             error_body(&format!(
@@ -453,72 +443,6 @@ fn fleet_endpoint(shared: &Shared, body: &[u8], action: &str) -> (u16, String) {
         "claim" => fleet.claim(body, shared.stop.load(Ordering::SeqCst)),
         _ => fleet.result(body),
     }
-}
-
-/// `POST /debug/prof/start`: open a profiling window — remember the
-/// current merged snapshot so `GET /debug/prof` can report the span
-/// activity since this instant. Restarting simply moves the baseline.
-fn prof_start(shared: &Shared) -> http::Response {
-    shared.sink.flush_thread();
-    let snapshot = shared.sink.peek_snapshot();
-    let spans = snapshot.spans.len() as u64;
-    *lock(&shared.prof_baseline) = Some(snapshot);
-    http::Response::json(
-        200,
-        JsonValue::Obj(vec![
-            ("status".to_owned(), JsonValue::Str("started".to_owned())),
-            ("baseline_spans".to_owned(), JsonValue::UInt(spans)),
-        ])
-        .render(),
-    )
-}
-
-/// The span activity between `baseline` and `current`: per-path call
-/// and total-ns deltas. Windowed extremes are unknowable from two
-/// aggregate snapshots, so `min_ns`/`max_ns` are zeroed.
-fn span_window(current: &Snapshot, baseline: &Snapshot) -> Snapshot {
-    let mut delta = Snapshot::default();
-    for (path, stat) in &current.spans {
-        let (base_calls, base_total) = baseline
-            .spans
-            .get(path)
-            .map_or((0, 0), |b| (b.calls, b.total_ns));
-        let calls = stat.calls.saturating_sub(base_calls);
-        let total_ns = stat.total_ns.saturating_sub(base_total);
-        if calls > 0 || total_ns > 0 {
-            delta.spans.insert(
-                path.clone(),
-                SpanStat {
-                    calls,
-                    total_ns,
-                    min_ns: 0,
-                    max_ns: 0,
-                },
-            );
-        }
-    }
-    delta
-}
-
-/// `GET /debug/prof`: the aggregated `ia-prof-v1` span profile — of
-/// the window opened by `POST /debug/prof/start`, or of the server's
-/// whole lifetime when no window was started. The document carries a
-/// `window` flag so scrapers can tell which they got.
-fn prof_report(shared: &Shared) -> http::Response {
-    shared.sink.flush_thread();
-    let current = shared.sink.peek_snapshot();
-    let (profile, windowed) = match lock(&shared.prof_baseline).as_ref() {
-        Some(baseline) => (
-            Profile::from_snapshot(&span_window(&current, baseline)),
-            true,
-        ),
-        None => (Profile::from_snapshot(&current), false),
-    };
-    let mut doc = profile.to_json();
-    if let JsonValue::Obj(fields) = &mut doc {
-        fields.insert(1, ("window".to_owned(), JsonValue::Bool(windowed)));
-    }
-    http::Response::json(200, doc.render())
 }
 
 fn status_counter(status: u16) -> &'static str {

@@ -115,6 +115,10 @@ fn unknown_route_and_wrong_method_are_rejected() {
     let addr = server.local_addr();
     let (status, _) = get(addr, "/nope");
     assert_eq!(status, 404);
+    let (status, _) = get(addr, "/debug/prof");
+    assert_eq!(status, 404, "no profile endpoint");
+    let (status, _) = post(addr, "/debug/prof/start", "");
+    assert_eq!(status, 404, "no profile window");
     let (status, _) = get(addr, "/solve");
     assert_eq!(status, 405, "GET on a POST route");
     let (status, _) = post(addr, "/healthz", "{}");

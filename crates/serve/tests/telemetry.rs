@@ -1,6 +1,7 @@
 //! End-to-end tests for the telemetry plane: request-id and run-id
 //! correlation through trace events, the Prometheus text exposition,
-//! a panicking handler, and windowed span profiles.
+//! a panicking handler, and a window of span activity read from two
+//! `/metrics` scrapes.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -322,48 +323,58 @@ fn dse_jobs_correlate_on_the_run_id() {
     );
 }
 
-/// Finds the node named `name` among `roots`' children-by-path walk.
-fn prof_node<'a>(doc: &'a JsonValue, path: &[&str]) -> Option<&'a JsonValue> {
-    let mut nodes = doc.get("roots")?.as_array()?;
-    let mut found = None;
-    for segment in path {
-        let node = nodes
-            .iter()
-            .find(|n| n.get("name").and_then(JsonValue::as_str) == Some(*segment))?;
-        nodes = node.get("children")?.as_array()?;
-        found = Some(node);
+/// One `GET /metrics` scrape as JSON.
+fn scrape(addr: SocketAddr) -> JsonValue {
+    let (status, _, body) = get(addr, "/metrics");
+    assert_eq!(status, 200, "body: {body}");
+    JsonValue::parse(&body).expect("metrics JSON")
+}
+
+/// The `calls` of span `path` in a scrape (0 when it never closed).
+fn span_calls(scrape: &JsonValue, path: &str) -> u64 {
+    scrape
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .and_then(|spans| {
+            spans
+                .iter()
+                .find(|s| s.get("path").and_then(JsonValue::as_str) == Some(path))
+        })
+        .and_then(|s| s.get("calls"))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0)
+}
+
+/// Workers flush their telemetry after writing the response, so a
+/// solve's spans may trail its reply by a moment: scrape until span
+/// `path` shows at least `calls` calls (or give up after two seconds).
+fn scrape_until(addr: SocketAddr, path: &str, calls: u64) -> JsonValue {
+    let mut doc = scrape(addr);
+    for _ in 0..200 {
+        if span_calls(&doc, path) >= calls {
+            break;
+        }
+        thread::sleep(Duration::from_millis(10));
+        doc = scrape(addr);
     }
-    found
+    doc
 }
 
 #[test]
-fn debug_prof_windows_span_activity_under_concurrent_solves() {
+fn two_metrics_scrapes_window_span_activity_under_concurrent_solves() {
+    const SOLVE: &str = "serve.request/dp.solve";
+    const EXPAND: &str = "serve.request/dp.solve/expand";
     let server = start(4);
     let addr = server.local_addr();
 
     // Warm-up traffic before the window opens.
     let (status, _, _) = post(addr, "/solve", r#"{"gates":20000,"bunch":2000}"#);
     assert_eq!(status, 200);
+    let before = scrape_until(addr, SOLVE, 1);
+    assert_eq!(span_calls(&before, SOLVE), 1, "the warm-up solve");
 
-    // Without a window the whole lifetime is profiled.
-    let (status, _, body) = get(addr, "/debug/prof");
-    assert_eq!(status, 200, "body: {body}");
-    let doc = JsonValue::parse(&body).expect("profile JSON");
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some("ia-prof-v1")
-    );
-    assert_eq!(doc.get("window").and_then(JsonValue::as_bool), Some(false));
-
-    // Open a window, then run distinct solves concurrently so several
-    // workers contribute spans inside it.
-    let (status, _, body) = post(addr, "/debug/prof/start", "");
-    assert_eq!(status, 200, "body: {body}");
-    let started = JsonValue::parse(&body).expect("start response JSON");
-    assert_eq!(
-        started.get("status").and_then(JsonValue::as_str),
-        Some("started")
-    );
+    // Six distinct solves at once, so several workers contribute spans
+    // to the window and none is a cache hit.
     thread::scope(|scope| {
         for i in 0..6 {
             scope.spawn(move || {
@@ -376,58 +387,27 @@ fn debug_prof_windows_span_activity_under_concurrent_solves() {
             });
         }
     });
+    let after = scrape_until(addr, SOLVE, span_calls(&before, SOLVE) + 6);
+    assert_eq!(
+        span_calls(&after, SOLVE) - span_calls(&before, SOLVE),
+        6,
+        "six fresh solves inside the window"
+    );
+    assert!(
+        span_calls(&after, EXPAND) > span_calls(&before, EXPAND),
+        "the expand phase nests under the solve in the window"
+    );
 
-    // Workers flush their telemetry after writing the response, so the
-    // spans from the six solves may trail the six replies by a moment:
-    // poll until the window shows them all.
-    let mut windowed_body = String::new();
-    let mut solve_calls = 0;
-    for _ in 0..200 {
-        let (status, _, body) = get(addr, "/debug/prof");
-        assert_eq!(status, 200, "body: {body}");
-        windowed_body = body;
-        let windowed = JsonValue::parse(&windowed_body).expect("windowed profile JSON");
-        solve_calls = prof_node(&windowed, &["serve.request", "dp.solve"])
-            .and_then(|n| n.get("calls"))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if solve_calls >= 6 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(10));
+    // A window with no solve in it shows no solver activity.
+    let idle_start = scrape(addr);
+    let idle_end = scrape(addr);
+    for path in [SOLVE, EXPAND] {
+        assert_eq!(
+            span_calls(&idle_end, path),
+            span_calls(&idle_start, path),
+            "{path}"
+        );
     }
-    let windowed = JsonValue::parse(&windowed_body).expect("windowed profile JSON");
-    assert_eq!(
-        windowed.get("schema").and_then(JsonValue::as_str),
-        Some("ia-prof-v1")
-    );
-    assert_eq!(
-        windowed.get("window").and_then(JsonValue::as_bool),
-        Some(true)
-    );
-    // The solver ran inside the window: dp.solve nests under the
-    // request span with its expand phase below it, and the six fresh
-    // solves are visible.
-    assert!(
-        solve_calls >= 6,
-        "six fresh solves inside the window: {windowed_body}"
-    );
-    assert!(
-        prof_node(&windowed, &["serve.request", "dp.solve", "expand"]).is_some(),
-        "phase nodes survive the windowing: {windowed_body}"
-    );
-
-    // Restarting the window resets the baseline: an idle window
-    // profiles (close to) nothing solver-side.
-    let (status, _, _) = post(addr, "/debug/prof/start", "");
-    assert_eq!(status, 200);
-    let (status, _, body) = get(addr, "/debug/prof");
-    assert_eq!(status, 200);
-    let idle = JsonValue::parse(&body).expect("idle profile JSON");
-    assert!(
-        prof_node(&idle, &["serve.request", "dp.solve"]).is_none(),
-        "no solver activity since the restart: {body}"
-    );
 
     server.shutdown();
     let _ = server.join();

@@ -61,8 +61,8 @@
 //! Beyond linting, the binary also validates the observability
 //! artifacts the workspace emits — `check-metrics FILE` for the CLI's
 //! `--metrics json` snapshot, `check-trace FILE` for Chrome
-//! trace-event exports, `check-prof FILE` for hierarchical profiles
-//! (see [`schema`]).
+//! trace-event exports, `check-prom FILE` for the Prometheus text
+//! exposition (see [`schema`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,12 +72,10 @@ mod diag;
 pub mod model;
 pub mod registry;
 mod rules;
-pub mod sarif;
 pub mod schema;
 mod source;
 
 pub use diag::{render_json, render_text, Diagnostic};
-pub use sarif::render_sarif;
 pub use source::{SourceFile, Waiver};
 
 use std::fs;

@@ -1,14 +1,12 @@
 //! `ia-lint` command-line entry point.
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--format text|json|sarif] [--root PATH]
+//! cargo run -p xtask -- lint [--format text|json] [--root PATH]
 //!                       [--allow-stale-waivers]
 //! cargo run -p xtask -- check-metrics FILE
 //! cargo run -p xtask -- check-trace FILE
 //! cargo run -p xtask -- check-spec FILE
-//! cargo run -p xtask -- check-sarif FILE
 //! cargo run -p xtask -- check-prom FILE
-//! cargo run -p xtask -- check-prof FILE
 //! cargo run -p xtask -- check-corpus FILE
 //! ```
 //!
@@ -22,14 +20,12 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ia-lint lint [--format text|json|sarif] [--root PATH]\n\
+        "usage: ia-lint lint [--format text|json] [--root PATH]\n\
          \x20                [--allow-stale-waivers]\n\
          \x20      ia-lint check-metrics FILE\n\
          \x20      ia-lint check-trace FILE\n\
          \x20      ia-lint check-spec FILE\n\
-         \x20      ia-lint check-sarif FILE\n\
          \x20      ia-lint check-prom FILE\n\
-         \x20      ia-lint check-prof FILE\n\
          \x20      ia-lint check-corpus FILE\n\
          \n\
          lint walks the workspace source and enforces the domain rules\n\
@@ -40,14 +36,8 @@ fn usage() -> ExitCode {
          check-metrics validates a CLI `--metrics json` snapshot;\n\
          check-trace validates a Chrome trace-event export;\n\
          check-spec validates an ia-dse experiment spec (TOML/JSON);\n\
-         check-sarif validates a SARIF 2.1.0 log like `lint --format\n\
-         sarif` emits;\n\
          check-prom validates a Prometheus 0.0.4 text exposition like\n\
          `GET /metrics` serves under `Accept: text/plain`;\n\
-         check-prof validates a hierarchical profile — the `ia-prof-v1`\n\
-         JSON written by `--prof-out FILE.json` and served by\n\
-         `GET /debug/prof`, or the folded-stack text any other\n\
-         `--prof-out` extension emits (auto-detected);\n\
          check-corpus validates an ia-corpus-v1 rank-comparison report\n\
          (the `iarank corpus report` text or its `--csv true` form,\n\
          auto-detected).\n\
@@ -106,22 +96,15 @@ fn main() -> ExitCode {
         Some("check-spec") if args.len() == 2 => {
             return run_check("check-spec", &args[1], xtask::schema::check_spec);
         }
-        Some("check-sarif") if args.len() == 2 => {
-            return run_check("check-sarif", &args[1], xtask::schema::check_sarif);
-        }
         Some("check-prom") if args.len() == 2 => {
             return run_check("check-prom", &args[1], xtask::schema::check_prom);
-        }
-        Some("check-prof") if args.len() == 2 => {
-            return run_check("check-prof", &args[1], xtask::schema::check_prof);
         }
         Some("check-corpus") if args.len() == 2 => {
             return run_check("check-corpus", &args[1], xtask::schema::check_corpus);
         }
-        Some(
-            "check-metrics" | "check-trace" | "check-spec" | "check-sarif" | "check-prom"
-            | "check-prof" | "check-corpus",
-        ) => return usage(),
+        Some("check-metrics" | "check-trace" | "check-spec" | "check-prom" | "check-corpus") => {
+            return usage()
+        }
         _ => {}
     }
 
@@ -131,7 +114,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "lint" if command.is_none() => command = Some("lint"),
             "--format" => match it.next() {
-                Some(f) if f == "text" || f == "json" || f == "sarif" => format = f.clone(),
+                Some(f) if f == "text" || f == "json" => format = f.clone(),
                 _ => return usage(),
             },
             "--root" => match it.next() {
@@ -164,7 +147,6 @@ fn main() -> ExitCode {
 
     match format.as_str() {
         "json" => print!("{}", xtask::render_json(&diags)),
-        "sarif" => print!("{}", xtask::render_sarif(&diags)),
         _ => {
             print!("{}", xtask::render_text(&diags));
             if diags.is_empty() {

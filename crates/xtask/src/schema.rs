@@ -1,23 +1,20 @@
 //! Schema validation for the observability artifacts.
 //!
-//! Four documents are part of the workspace's stable machine-readable
+//! Three documents are part of the workspace's stable machine-readable
 //! surface (`docs/observability.md`):
 //!
 //! * the CLI's `--metrics json` snapshot
 //!   (`{"counters": {...}, "spans": [...], "histograms": [...]}`),
 //! * the Chrome trace-event exports written by `--trace` (a JSON
-//!   array of `B`/`E`/`C`/`M` events),
+//!   array of `B`/`E`/`C`/`M` events), and
 //! * the Prometheus 0.0.4 text exposition served by `GET /metrics`
-//!   under `Accept: text/plain`, and
-//! * the hierarchical profiles written by `--prof-out` and served by
-//!   `GET /debug/prof` — `ia-prof-v1` JSON or folded-stack text.
+//!   under `Accept: text/plain`.
 //!
-//! CI runs `ia-lint check-metrics` / `check-trace` / `check-prom` /
-//! `check-prof` on freshly emitted files so schema
-//! drift fails the build instead of silently breaking downstream
-//! consumers. The JSON checkers parse with the same
-//! [`ia_obs::json`] tree the exporters render from, so integers are
-//! checked exactly.
+//! CI runs `ia-lint check-metrics` / `check-trace` / `check-prom` on
+//! freshly emitted files so schema drift fails the build instead of
+//! silently breaking downstream consumers. The JSON checkers parse with
+//! the same [`ia_obs::json`] tree the exporters render from, so
+//! integers are checked exactly.
 
 use ia_obs::json::JsonValue;
 use std::collections::{BTreeMap, BTreeSet};
@@ -227,124 +224,6 @@ pub fn check_trace(text: &str) -> Result<String, String> {
         "trace OK: {n_spans} span events, {n_counters} counter events, \
          {n_meta} metadata events, {} thread(s), {unclosed} unclosed span(s)",
         tids.len()
-    ))
-}
-
-/// Validates a SARIF 2.1.0 log of the shape `ia-lint lint --format
-/// sarif` emits: `version` 2.1.0, at least one run with a named
-/// driver and a rule table, and every result carrying a resolvable
-/// `ruleId`, a `message.text` and a physical location with a
-/// positive `startLine`.
-///
-/// Returns a one-line summary on success.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation (or parse
-/// error) found.
-pub fn check_sarif(text: &str) -> Result<String, String> {
-    let doc = JsonValue::parse(text.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
-    let version = expect_str(&doc, "version", "log")?;
-    if version != "2.1.0" {
-        return Err(format!("log: `version` must be `2.1.0`, got `{version}`"));
-    }
-    if let Some(schema) = doc.get("$schema") {
-        if schema.as_str().is_none() {
-            return Err("log: `$schema` must be a string".to_owned());
-        }
-    }
-    let runs = doc
-        .get("runs")
-        .ok_or("log: missing `runs` array")?
-        .as_array()
-        .ok_or("log: `runs` must be an array")?;
-    if runs.is_empty() {
-        return Err("log: `runs` must be non-empty".to_owned());
-    }
-    let (mut n_rules, mut n_results) = (0usize, 0usize);
-    for (r, run) in runs.iter().enumerate() {
-        let ctx = format!("runs[{r}]");
-        let driver = run
-            .get("tool")
-            .and_then(|t| t.get("driver"))
-            .ok_or_else(|| format!("{ctx}: missing `tool.driver`"))?;
-        let name = expect_str(driver, "name", &format!("{ctx}.tool.driver"))?;
-        if name.is_empty() {
-            return Err(format!("{ctx}: `tool.driver.name` must be non-empty"));
-        }
-        let rules = driver
-            .get("rules")
-            .ok_or_else(|| format!("{ctx}: missing `tool.driver.rules` array"))?
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: `tool.driver.rules` must be an array"))?;
-        let mut ids: BTreeSet<&str> = BTreeSet::new();
-        for (i, rule) in rules.iter().enumerate() {
-            let rctx = format!("{ctx}.tool.driver.rules[{i}]");
-            let id = expect_str(rule, "id", &rctx)?;
-            if !ids.insert(id) {
-                return Err(format!("{rctx}: duplicate rule id `{id}`"));
-            }
-        }
-        n_rules += ids.len();
-        let results = run
-            .get("results")
-            .ok_or_else(|| format!("{ctx}: missing `results` array"))?
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: `results` must be an array"))?;
-        for (i, result) in results.iter().enumerate() {
-            let rctx = format!("{ctx}.results[{i}]");
-            let rule_id = expect_str(result, "ruleId", &rctx)?;
-            if !ids.contains(rule_id) {
-                return Err(format!(
-                    "{rctx}: `ruleId` `{rule_id}` does not resolve in `tool.driver.rules`"
-                ));
-            }
-            let message = expect_str(
-                result
-                    .get("message")
-                    .ok_or_else(|| format!("{rctx}: missing `message`"))?,
-                "text",
-                &format!("{rctx}.message"),
-            )?;
-            if message.is_empty() {
-                return Err(format!("{rctx}: `message.text` must be non-empty"));
-            }
-            let locations = result
-                .get("locations")
-                .ok_or_else(|| format!("{rctx}: missing `locations` array"))?
-                .as_array()
-                .ok_or_else(|| format!("{rctx}: `locations` must be an array"))?;
-            if locations.is_empty() {
-                return Err(format!("{rctx}: `locations` must be non-empty"));
-            }
-            for (l, loc) in locations.iter().enumerate() {
-                let lctx = format!("{rctx}.locations[{l}]");
-                let phys = loc
-                    .get("physicalLocation")
-                    .ok_or_else(|| format!("{lctx}: missing `physicalLocation`"))?;
-                let uri = expect_str(
-                    phys.get("artifactLocation")
-                        .ok_or_else(|| format!("{lctx}: missing `artifactLocation`"))?,
-                    "uri",
-                    &format!("{lctx}.artifactLocation"),
-                )?;
-                if uri.is_empty() {
-                    return Err(format!("{lctx}: `artifactLocation.uri` must be non-empty"));
-                }
-                let region = phys
-                    .get("region")
-                    .ok_or_else(|| format!("{lctx}: missing `region`"))?;
-                let start = expect_u64(region, "startLine", &format!("{lctx}.region"))?;
-                if start == 0 {
-                    return Err(format!("{lctx}: `region.startLine` must be positive"));
-                }
-            }
-        }
-        n_results += results.len();
-    }
-    Ok(format!(
-        "SARIF log OK: {} run(s), {n_rules} rules, {n_results} result(s)",
-        runs.len()
     ))
 }
 
@@ -571,150 +450,6 @@ pub fn check_prom(text: &str) -> Result<String, String> {
         types.len(),
         buckets.len()
     ))
-}
-
-/// Recursively validates one `ia-prof-v1` tree node, returning the
-/// number of nodes in its subtree.
-fn check_prof_node(node: &JsonValue, ctx: &str) -> Result<usize, String> {
-    let name = expect_str(node, "name", ctx)?;
-    if name.is_empty() {
-        return Err(format!("{ctx}: `name` must be non-empty"));
-    }
-    let mut stats = [0u64; 5];
-    for (slot, field) in ["calls", "total_ns", "self_ns", "min_ns", "max_ns"]
-        .iter()
-        .enumerate()
-    {
-        stats[slot] = expect_u64(node, field, ctx)?;
-    }
-    let [_, total, self_ns, min, max] = stats;
-    if min > max {
-        return Err(format!("{ctx}: `min_ns` ({min}) exceeds `max_ns` ({max})"));
-    }
-    if max > total {
-        return Err(format!(
-            "{ctx}: `max_ns` ({max}) exceeds `total_ns` ({total})"
-        ));
-    }
-    if self_ns > total {
-        return Err(format!(
-            "{ctx}: `self_ns` ({self_ns}) exceeds `total_ns` ({total})"
-        ));
-    }
-    let children = node
-        .get("children")
-        .ok_or_else(|| format!("{ctx}: missing `children` array"))?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: `children` must be an array"))?;
-    let mut nodes = 1usize;
-    let mut prev: Option<&str> = None;
-    for (i, child) in children.iter().enumerate() {
-        let cctx = format!("{ctx}.children[{i}]");
-        nodes += check_prof_node(child, &cctx)?;
-        // Re-read the name the recursive call just validated.
-        let name = expect_str(child, "name", &cctx)?;
-        match prev {
-            Some(p) if p == name => {
-                return Err(format!("{cctx}: duplicate sibling `{name}`"));
-            }
-            Some(p) if p > name => {
-                return Err(format!(
-                    "{cctx}: siblings out of order (`{name}` after `{p}`); \
-                     the profile tree sorts children by name"
-                ));
-            }
-            _ => {}
-        }
-        prev = Some(name);
-    }
-    Ok(nodes)
-}
-
-/// Validates a hierarchical profile artifact — the `ia-prof-v1` JSON
-/// document (`--prof-out FILE.json`, `GET /debug/prof`) or the
-/// folded-stack text (`--prof-out FILE.folded`) — auto-detected by the
-/// leading `{`.
-///
-/// The JSON form must carry `schema: "ia-prof-v1"` and a non-empty
-/// `roots` forest where every node has a non-empty `name`, exact-`u64`
-/// `calls`/`total_ns`/`self_ns`/`min_ns`/`max_ns` statistics that
-/// satisfy `min_ns <= max_ns <= total_ns` and `self_ns <= total_ns`,
-/// and children sorted by name with no duplicate siblings. The folded
-/// form is run through [`ia_obs::prof::Profile::from_folded`] — the
-/// same parser the exporter round-trips through — which enforces the
-/// `stack value` line shape, `;`-separated non-empty frames, exact
-/// `u64` self times and no duplicate stacks; re-emitting the parsed
-/// profile must then reproduce the input byte for byte (canonical
-/// sibling order).
-///
-/// Returns a one-line summary on success.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation (or parse
-/// error) found.
-pub fn check_prof(text: &str) -> Result<String, String> {
-    let trimmed = text.trim();
-    if trimmed.starts_with('{') {
-        let doc = JsonValue::parse(trimmed).map_err(|e| format!("invalid JSON: {e}"))?;
-        let schema = expect_str(&doc, "schema", "profile")?;
-        if schema != "ia-prof-v1" {
-            return Err(format!(
-                "profile: `schema` must be `ia-prof-v1`, got `{schema}`"
-            ));
-        }
-        let roots = doc
-            .get("roots")
-            .ok_or("profile: missing `roots` array")?
-            .as_array()
-            .ok_or("profile: `roots` must be an array")?;
-        if roots.is_empty() {
-            return Err("profile: no spans recorded (was the collector enabled?)".to_owned());
-        }
-        let mut nodes = 0usize;
-        let mut prev: Option<&str> = None;
-        for (i, root) in roots.iter().enumerate() {
-            let ctx = format!("roots[{i}]");
-            nodes += check_prof_node(root, &ctx)?;
-            let name = expect_str(root, "name", &ctx)?;
-            match prev {
-                Some(p) if p == name => {
-                    return Err(format!("{ctx}: duplicate root `{name}`"));
-                }
-                Some(p) if p > name => {
-                    return Err(format!(
-                        "{ctx}: roots out of order (`{name}` after `{p}`); \
-                         the profile tree sorts spans by name"
-                    ));
-                }
-                _ => {}
-            }
-            prev = Some(name);
-        }
-        Ok(format!(
-            "profile OK: {} root span(s), {nodes} node(s)",
-            roots.len()
-        ))
-    } else {
-        let profile =
-            ia_obs::prof::Profile::from_folded(text).map_err(|e| format!("folded: {e}"))?;
-        if profile.is_empty() {
-            return Err("folded: no stacks (was the collector enabled?)".to_owned());
-        }
-        if profile.to_folded() != text {
-            return Err(
-                "folded: not in canonical form (re-emitting the parsed profile \
-                 differs; stacks must be in depth-first order with siblings \
-                 sorted by name and a trailing newline)"
-                    .to_owned(),
-            );
-        }
-        Ok(format!(
-            "folded profile OK: {} stack line(s), {} root span(s)",
-            text.lines().count(),
-            profile.roots.len()
-        ))
-    }
 }
 
 /// The exact header of the stable `ia-corpus-v1` CSV schema.
@@ -1043,75 +778,6 @@ mod tests {
             .contains("went backwards"));
     }
 
-    #[test]
-    fn emitted_sarif_validates_empty_and_nonempty() {
-        use crate::diag::Diagnostic;
-        use std::path::PathBuf;
-
-        let clean = crate::sarif::render_sarif(&[]);
-        let summary = check_sarif(&clean).unwrap();
-        assert!(summary.contains("0 result(s)"), "{summary}");
-
-        let diags = vec![
-            Diagnostic::new(
-                PathBuf::from("crates/core/src/dp.rs"),
-                12,
-                "no-panic",
-                "`.unwrap()` in non-test code".to_owned(),
-            ),
-            Diagnostic::new(
-                PathBuf::from("crates/serve/src/lib.rs"),
-                3,
-                "lock-discipline",
-                "guard held across `\"blocking\"` I/O".to_owned(),
-            ),
-        ];
-        let log = crate::sarif::render_sarif(&diags);
-        let summary = check_sarif(&log).unwrap();
-        assert!(summary.contains("1 run(s)"), "{summary}");
-        assert!(summary.contains("2 result(s)"), "{summary}");
-        // Every rule in the registry is exported to the driver table.
-        let n_rules = crate::registry::RULES.len() + crate::registry::META_RULES.len();
-        assert!(summary.contains(&format!("{n_rules} rules")), "{summary}");
-    }
-
-    #[test]
-    fn sarif_rejects_bad_shapes() {
-        assert!(check_sarif("not json")
-            .unwrap_err()
-            .contains("invalid JSON"));
-        assert!(check_sarif(r#"{"version":"2.0.0","runs":[]}"#)
-            .unwrap_err()
-            .contains("2.1.0"));
-        assert!(check_sarif(r#"{"version":"2.1.0","runs":[]}"#)
-            .unwrap_err()
-            .contains("non-empty"));
-        // A result whose ruleId is missing from the driver table.
-        let unresolved = r#"{"version":"2.1.0","runs":[{
-            "tool":{"driver":{"name":"ia-lint","rules":[{"id":"no-panic"}]}},
-            "results":[{"ruleId":"ghost","level":"error",
-              "message":{"text":"m"},
-              "locations":[{"physicalLocation":{
-                "artifactLocation":{"uri":"a.rs"},
-                "region":{"startLine":1}}}]}]}]}"#;
-        assert!(check_sarif(unresolved)
-            .unwrap_err()
-            .contains("does not resolve"));
-        // startLine must be 1-indexed.
-        let zero_line = r#"{"version":"2.1.0","runs":[{
-            "tool":{"driver":{"name":"ia-lint","rules":[{"id":"no-panic"}]}},
-            "results":[{"ruleId":"no-panic","level":"error",
-              "message":{"text":"m"},
-              "locations":[{"physicalLocation":{
-                "artifactLocation":{"uri":"a.rs"},
-                "region":{"startLine":0}}}]}]}]}"#;
-        assert!(check_sarif(zero_line).unwrap_err().contains("positive"));
-        let dup = r#"{"version":"2.1.0","runs":[{
-            "tool":{"driver":{"name":"ia-lint","rules":[{"id":"x"},{"id":"x"}]}},
-            "results":[]}]}"#;
-        assert!(check_sarif(dup).unwrap_err().contains("duplicate"));
-    }
-
     const GOOD_PROM: &str = "\
 # HELP iarank_http_requests_total requests by endpoint\n\
 # TYPE iarank_http_requests_total counter\n\
@@ -1185,144 +851,6 @@ h_count 5\n";
         );
         let summary = check_prom(&w.finish()).unwrap();
         assert!(summary.contains("1 families"), "{summary}");
-    }
-
-    const GOOD_PROF: &str = r#"{"schema":"ia-prof-v1","roots":[
-        {"name":"dp.solve","calls":1,"total_ns":1000,"self_ns":150,
-         "min_ns":1000,"max_ns":1000,"children":[
-           {"name":"expand","calls":3,"total_ns":600,"self_ns":600,
-            "min_ns":100,"max_ns":300,"children":[]},
-           {"name":"reconstruct","calls":1,"total_ns":250,"self_ns":250,
-            "min_ns":250,"max_ns":250,"children":[]}]},
-        {"name":"sweep.k","calls":1,"total_ns":40,"self_ns":40,
-         "min_ns":40,"max_ns":40,"children":[]}]}"#;
-
-    #[test]
-    fn good_prof_json_passes() {
-        let summary = check_prof(GOOD_PROF).unwrap();
-        assert!(summary.contains("2 root span(s)"), "{summary}");
-        assert!(summary.contains("4 node(s)"), "{summary}");
-        // Extra top-level fields (the serve `window` flag) are fine.
-        let windowed = GOOD_PROF.replacen("\"ia-prof-v1\",", "\"ia-prof-v1\",\"window\":true,", 1);
-        check_prof(&windowed).unwrap();
-    }
-
-    #[test]
-    fn prof_json_rejects_bad_shapes() {
-        assert!(check_prof("{not json")
-            .unwrap_err()
-            .contains("invalid JSON"));
-        assert!(check_prof(r#"{"schema":"ia-prof-v2","roots":[]}"#)
-            .unwrap_err()
-            .contains("ia-prof-v1"));
-        assert!(check_prof(r#"{"schema":"ia-prof-v1","roots":[]}"#)
-            .unwrap_err()
-            .contains("collector enabled"));
-        let node = |name: &str, stats: &str| {
-            format!(
-                r#"{{"schema":"ia-prof-v1","roots":[{{"name":"{name}",{stats},"children":[]}}]}}"#
-            )
-        };
-        let inexact = node(
-            "a",
-            r#""calls":1.5,"total_ns":1,"self_ns":1,"min_ns":1,"max_ns":1"#,
-        );
-        assert!(check_prof(&inexact)
-            .unwrap_err()
-            .contains("unsigned integer"));
-        let min_over_max = node(
-            "a",
-            r#""calls":1,"total_ns":9,"self_ns":9,"min_ns":5,"max_ns":3"#,
-        );
-        assert!(check_prof(&min_over_max).unwrap_err().contains("min_ns"));
-        let self_over_total = node(
-            "a",
-            r#""calls":1,"total_ns":9,"self_ns":10,"min_ns":1,"max_ns":9"#,
-        );
-        assert!(check_prof(&self_over_total)
-            .unwrap_err()
-            .contains("self_ns"));
-        let nameless = node(
-            "",
-            r#""calls":1,"total_ns":1,"self_ns":1,"min_ns":1,"max_ns":1"#,
-        );
-        assert!(check_prof(&nameless).unwrap_err().contains("non-empty"));
-    }
-
-    #[test]
-    fn prof_json_rejects_duplicate_and_unsorted_siblings() {
-        let stats = r#""calls":1,"total_ns":1,"self_ns":1,"min_ns":1,"max_ns":1,"children":[]"#;
-        let dup = format!(
-            r#"{{"schema":"ia-prof-v1","roots":[{{"name":"a",{stats}}},{{"name":"a",{stats}}}]}}"#
-        );
-        assert!(check_prof(&dup).unwrap_err().contains("duplicate root"));
-        let unsorted = format!(
-            r#"{{"schema":"ia-prof-v1","roots":[{{"name":"b",{stats}}},{{"name":"a",{stats}}}]}}"#
-        );
-        assert!(check_prof(&unsorted).unwrap_err().contains("out of order"));
-        let dup_children = format!(
-            r#"{{"schema":"ia-prof-v1","roots":[{{"name":"p","calls":1,"total_ns":2,
-                "self_ns":0,"min_ns":2,"max_ns":2,"children":[
-                {{"name":"c",{stats}}},{{"name":"c",{stats}}}]}}]}}"#
-        );
-        assert!(check_prof(&dup_children)
-            .unwrap_err()
-            .contains("duplicate sibling"));
-    }
-
-    #[test]
-    fn prof_validates_the_emitted_folded_form() {
-        let folded = "dp.solve 150\ndp.solve;expand 150\n\
-                      dp.solve;expand;front.merge 450\ndp.solve;reconstruct 250\n\
-                      sweep.k 40\n";
-        let summary = check_prof(folded).unwrap();
-        assert!(summary.contains("5 stack line(s)"), "{summary}");
-        assert!(summary.contains("2 root span(s)"), "{summary}");
-    }
-
-    #[test]
-    fn prof_rejects_malformed_and_non_canonical_folded() {
-        assert!(check_prof("no-value\n")
-            .unwrap_err()
-            .contains("stack value"));
-        assert!(check_prof("a;b 1.5\n")
-            .unwrap_err()
-            .contains("not an exact u64"));
-        assert!(check_prof("a;;b 1\n").unwrap_err().contains("empty frame"));
-        assert!(check_prof("a;b 1\na;b 2\n")
-            .unwrap_err()
-            .contains("duplicate stack"));
-        // Siblings out of canonical (name-sorted) order.
-        assert!(check_prof("b 1\na 2\n").unwrap_err().contains("canonical"));
-        // A trailing newline is part of the canonical form.
-        assert!(check_prof("a 1").unwrap_err().contains("canonical"));
-    }
-
-    #[test]
-    fn prof_round_trips_the_real_exporter() {
-        use ia_obs::{Snapshot, SpanStat};
-        let mut snap = Snapshot::default();
-        snap.spans.insert(
-            "dp.solve".to_owned(),
-            SpanStat {
-                calls: 2,
-                total_ns: 900,
-                min_ns: 400,
-                max_ns: 500,
-            },
-        );
-        snap.spans.insert(
-            "dp.solve/expand".to_owned(),
-            SpanStat {
-                calls: 6,
-                total_ns: 700,
-                min_ns: 50,
-                max_ns: 200,
-            },
-        );
-        let profile = ia_obs::prof::Profile::from_snapshot(&snap);
-        check_prof(&profile.to_json_string()).unwrap();
-        check_prof(&profile.to_folded()).unwrap();
     }
 
     #[test]

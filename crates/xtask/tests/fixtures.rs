@@ -450,91 +450,6 @@ fn cli_check_trace_validates_trace_exports() {
 }
 
 #[test]
-fn cli_check_prof_validates_both_profile_forms() {
-    let bin = env!("CARGO_BIN_EXE_ia-lint");
-    let dir = std::env::temp_dir().join("ia_lint_prof_test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    let json = dir.join("prof.json");
-    std::fs::write(
-        &json,
-        r#"{"schema":"ia-prof-v1","roots":[{"name":"dp.solve","calls":1,
-            "total_ns":900,"self_ns":200,"min_ns":900,"max_ns":900,"children":[
-            {"name":"expand","calls":3,"total_ns":700,"self_ns":700,
-             "min_ns":100,"max_ns":400,"children":[]}]}]}"#,
-    )
-    .expect("writable");
-    let ok = Command::new(bin)
-        .arg("check-prof")
-        .arg(&json)
-        .output()
-        .expect("runs");
-    assert!(ok.status.success(), "valid profile must exit 0");
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("profile OK"));
-
-    let folded = dir.join("prof.folded");
-    std::fs::write(&folded, "dp.solve 200\ndp.solve;expand 700\n").expect("writable");
-    let ok = Command::new(bin)
-        .arg("check-prof")
-        .arg(&folded)
-        .output()
-        .expect("runs");
-    assert!(ok.status.success(), "valid folded profile must exit 0");
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("folded profile OK"));
-
-    let bad = dir.join("bad.folded");
-    std::fs::write(&bad, "dp.solve 200\ndp.solve 1\n").expect("writable");
-    let err = Command::new(bin)
-        .arg("check-prof")
-        .arg(&bad)
-        .output()
-        .expect("runs");
-    assert_eq!(err.status.code(), Some(1), "duplicate stack must exit 1");
-    assert!(String::from_utf8_lossy(&err.stderr).contains("duplicate stack"));
-
-    let missing = Command::new(bin)
-        .args(["check-prof", "/nonexistent/prof.json"])
-        .output()
-        .expect("runs");
-    assert_eq!(
-        missing.status.code(),
-        Some(2),
-        "unreadable file must exit 2"
-    );
-}
-
-#[test]
-fn cli_sarif_format_roundtrips_through_check_sarif() {
-    let bin = env!("CARGO_BIN_EXE_ia-lint");
-    let out = Command::new(bin)
-        .args(["lint", "--format", "sarif", "--root"])
-        .arg(fixture("lock_discipline"))
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(1), "findings must still exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"version\": \"2.1.0\""), "{stdout}");
-    assert!(
-        stdout.contains("\"ruleId\": \"lock-discipline\""),
-        "{stdout}"
-    );
-    // The emitted log must satisfy the tool's own SARIF validator.
-    let summary = xtask::schema::check_sarif(&stdout).expect("emitted SARIF is valid");
-    assert!(summary.contains("4 result(s)"), "{summary}");
-
-    // A clean tree still emits a valid (empty-results) log and exits 0.
-    let clean = Command::new(bin)
-        .args(["lint", "--format", "sarif", "--root"])
-        .arg(fixture("clean"))
-        .output()
-        .expect("runs");
-    assert!(clean.status.success(), "clean tree must exit 0");
-    let summary = xtask::schema::check_sarif(&String::from_utf8_lossy(&clean.stdout))
-        .expect("clean SARIF is valid");
-    assert!(summary.contains("0 result(s)"), "{summary}");
-}
-
-#[test]
 fn cli_allow_stale_waivers_downgrades_the_audit() {
     let bin = env!("CARGO_BIN_EXE_ia-lint");
     let strict = Command::new(bin)
