@@ -2,9 +2,9 @@
 //! [`ia_bench::ablation`]). The target-delay regime runs at
 //! `IA_BENCH_GATES` (default 1 000 000, the paper's scale).
 
-use ia_bench::{ablation, configured_gates};
+use ia_bench::{ablation, configured_gates, write_stdout};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    print!("{}", ablation(configured_gates()?)?);
+    write_stdout(&ablation(configured_gates()?)?);
     Ok(())
 }

@@ -3,9 +3,9 @@
 //! reduction? (The paper reports 38 % in K ≡ ~42 % in M for the 1M-gate
 //! 130 nm design.)
 
-use ia_bench::{configured_gates, equivalence};
+use ia_bench::{configured_gates, equivalence, write_stdout};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    print!("{}", equivalence(configured_gates()?)?);
+    write_stdout(&equivalence(configured_gates()?)?);
     Ok(())
 }

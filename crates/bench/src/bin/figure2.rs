@@ -2,5 +2,5 @@
 //! wire assignment is suboptimal (see [`ia_bench::figure2`]).
 
 fn main() {
-    print!("{}", ia_bench::figure2());
+    ia_bench::write_stdout(&ia_bench::figure2());
 }

@@ -3,12 +3,13 @@
 //! results "for space reasons"; this binary fills in the other two).
 //! The table goes to stdout and the wall time to stderr.
 
+use ia_bench::{nodes, write_stderr, write_stdout};
 use ia_obs::Stopwatch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sw = Stopwatch::start();
-    print!("{}", ia_bench::nodes()?);
+    write_stdout(&nodes()?);
     let wall = std::time::Duration::from_nanos(sw.elapsed_ns());
-    eprintln!("(three node baselines in {wall:.1?})");
+    write_stderr(&format!("(three node baselines in {wall:.1?})\n"));
     Ok(())
 }

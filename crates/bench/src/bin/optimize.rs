@@ -7,18 +7,21 @@
 //! Scale: `IA_BENCH_GATES`, capped at 400 000. The tables go to stdout
 //! and each node's wall time to stderr.
 
-use ia_bench::{configured_gates, optimize_heading, optimize_node, OPTIMIZE_MAX_GATES};
+use ia_bench::{
+    configured_gates, optimize_heading, optimize_node, write_stderr, write_stdout,
+    OPTIMIZE_MAX_GATES,
+};
 use ia_obs::Stopwatch;
 use ia_tech::presets;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gates = configured_gates()?.min(OPTIMIZE_MAX_GATES);
-    print!("{}", optimize_heading(gates));
+    write_stdout(&optimize_heading(gates));
     for node in presets::all() {
         let sw = Stopwatch::start();
-        print!("{}", optimize_node(&node, gates)?);
+        write_stdout(&optimize_node(&node, gates)?);
         let wall = std::time::Duration::from_nanos(sw.elapsed_ns());
-        eprintln!("({} stacks in {wall:.1?})", node.name());
+        write_stderr(&format!("({} stacks in {wall:.1?})\n", node.name()));
     }
     Ok(())
 }

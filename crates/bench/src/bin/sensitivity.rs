@@ -3,9 +3,9 @@
 //! ("it is not possible to enable future MPU-class designs by material
 //! improvements alone").
 
-use ia_bench::{configured_gates, sensitivity};
+use ia_bench::{configured_gates, sensitivity, write_stdout};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    print!("{}", sensitivity(configured_gates()?)?);
+    write_stdout(&sensitivity(configured_gates()?)?);
     Ok(())
 }

@@ -2,5 +2,5 @@
 //! nodes used in the rank studies.
 
 fn main() {
-    print!("{}", ia_bench::table3());
+    ia_bench::write_stdout(&ia_bench::table3());
 }

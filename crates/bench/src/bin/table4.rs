@@ -6,7 +6,7 @@
 //! Scale: set `IA_BENCH_GATES` (default 1 000 000 — the paper's scale).
 //! The table goes to stdout and each column's wall time to stderr.
 
-use ia_bench::{configured_gates, table4_column, table4_heading};
+use ia_bench::{configured_gates, table4_column, table4_heading, write_stderr, write_stdout};
 use ia_obs::Stopwatch;
 use ia_rank::sweep::Axis;
 
@@ -16,15 +16,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let want = |axis: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(axis));
 
     let gates = configured_gates()?;
-    print!("{}", table4_heading(gates));
+    write_stdout(&table4_heading(gates));
     for axis in Axis::ALL {
         if !want(axis.label()) {
             continue;
         }
         let sw = Stopwatch::start();
-        print!("{}", table4_column(gates, axis)?);
+        write_stdout(&table4_column(gates, axis)?);
         let wall = std::time::Duration::from_nanos(sw.elapsed_ns());
-        eprintln!("({} sweep in {wall:.1?})", axis.symbol());
+        write_stderr(&format!("({} sweep in {wall:.1?})\n", axis.symbol()));
     }
     Ok(())
 }

@@ -35,6 +35,7 @@ use ia_rank::{dp, exact, exhaustive, greedy, toy, RankProblem};
 use ia_report::{Comparison, Table};
 use ia_tech::{presets, TechnologyNode, WiringTier};
 use ia_wld::WldSpec;
+use std::io::Write;
 
 /// The paper's headline experiment scale: 1M gates at 130 nm.
 pub const PAPER_GATES: u64 = 1_000_000;
@@ -59,6 +60,30 @@ const GATES_ENV: &str = "IA_BENCH_GATES";
 pub fn configured_gates() -> Result<u64, String> {
     let value = std::env::var_os(GATES_ENV);
     parse_gates(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// Writes a binary's table text to stdout. A reader that stopped
+/// reading (`table4 | head -3`) is not a failure: the process exits 0
+/// quietly, as Unix filters do. Any other write error exits 1.
+pub fn write_stdout(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            write_stderr(&format!("error: cannot write output: {e}\n"));
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes a wall-time line or a diagnostic to stderr. Write errors are
+/// ignored, so a closed stderr leaves the exit code the binary's own.
+pub fn write_stderr(text: &str) {
+    let _ = std::io::stderr().write_all(text.as_bytes());
 }
 
 /// Parses an `IA_BENCH_GATES` value; `None` (unset) is the paper's

@@ -25,8 +25,51 @@
 //! paper's `O(m·n⁴·A_R³)` table — while returning the same optimum
 //! (property-checked against [`crate::exhaustive`] and
 //! [`crate::exact`]).
+//!
+//! # Work per state, not per candidate
+//!
+//! A *state* is one front entry of prefix `i1` expanded on pair `j`;
+//! its *candidates* are the met segments `i1..i2` the sweep offers.
+//! Three shortcuts keep every field of the returned [`Solution`] equal
+//! to what the plain search returns, the one that scans each
+//! candidate's extras, builds each candidate's path node and finalizes
+//! every candidate. `tests/dp_optimality.rs` keeps that plain search
+//! as a reference and compares whole solutions with it.
+//!
+//! * **Max-fit extras once per state.** The state fixes the pair's
+//!   blocked capacity `cap`. Every candidate's max-fit scan continues
+//!   one left fold of `wire_area[j]`, started at `0.0` at `i1`: the
+//!   sweep adds the same terms in the same order, and it has checked
+//!   each partial sum `<= cap` up to the candidate's `met_end`. The
+//!   scan stops at the first bunch whose partial sum exceeds `cap`,
+//!   and since no earlier partial sum does, that is the first such
+//!   bunch from `i1` on, whichever candidate scans. So `extras_end` is
+//!   the same for every candidate of the state, to the bit, with no
+//!   prefix sums and no rounding of areas. It is computed at the
+//!   state's first finalize that passes the gate and reused after.
+//! * **Path nodes only for kept entries.** `Front::insert` takes the
+//!   `(area, count)` point and a closure that builds its path, and
+//!   calls the closure only once the dominance test keeps the point.
+//!   A finalize takes the state's parent path and the new segment,
+//!   and on success lists the parent's segments and then that
+//!   segment: what the node would have reconstructed to.
+//! * **The greedy floor.** [`rank`] returns the first feasible
+//!   candidate, in iteration order, whose rank is the maximum: `best`
+//!   changes only on a strictly higher rank or on the first proof of
+//!   assignability, and feasibility never depends on earlier
+//!   candidates, because the memo caches only `greedy_pack`, a pure
+//!   function. So skipping every candidate ranked below a lower bound
+//!   on the optimum leaves every field of the answer the same. The
+//!   floor is the greedy rank ([`crate::greedy::rank_greedy`]), which
+//!   the DP never falls below (`greedy_never_beats_dp`). It is guarded
+//!   all the same: a search that ends below its floor fails a debug
+//!   assertion and is re-run with the floor at 0, whose answer is
+//!   exact in every case. Only `dp.memo_hits` and `dp.memo_misses`
+//!   see the floor, since fewer finalize calls probe the memo. An
+//!   unroutable instance ranks 0 under greedy, so its floor is 0.
 
 use crate::assign::greedy_pack;
+use crate::greedy::rank_greedy;
 use crate::result::Segment;
 use crate::telemetry::{self, names};
 use crate::{Instance, Solution};
@@ -93,32 +136,45 @@ impl Tally {
 }
 
 impl Front {
-    /// Inserts an entry unless dominated; prunes entries it dominates.
-    /// Returns whether the entry was kept.
-    fn insert(&mut self, e: FrontEntry, tally: &mut Tally) -> bool {
+    /// Offers the point `(area, count)`: inserts it unless dominated
+    /// and prunes the entries it dominates. `path` builds the entry's
+    /// breadcrumb and runs only for a kept point. Returns whether the
+    /// point was kept.
+    fn insert(
+        &mut self,
+        area: f64,
+        count: u64,
+        path: impl FnOnce() -> Option<Rc<PathNode>>,
+        tally: &mut Tally,
+    ) -> bool {
         tally.candidates += 1;
         // Find insertion point by area.
         let pos = self
             .entries
-            .partition_point(|x| x.area < e.area || (x.area == e.area && x.count <= e.count));
+            .partition_point(|x| x.area < area || (x.area == area && x.count <= count));
         // Dominated by a cheaper-or-equal predecessor?
         if pos > 0 {
             let p = &self.entries[pos - 1];
-            if p.area <= e.area && p.count <= e.count {
+            if p.area <= area && p.count <= count {
                 return false;
             }
         }
         // Prune successors the new entry dominates.
         let mut end = pos;
         while end < self.entries.len()
-            && self.entries[end].area >= e.area
-            && self.entries[end].count >= e.count
+            && self.entries[end].area >= area
+            && self.entries[end].count >= count
         {
             end += 1;
         }
         let pruned = (end - pos) as u64;
         telemetry::histogram_record(names::DP_PRUNE_SCANNED, pruned);
-        self.entries.splice(pos..end, [e]);
+        let kept = FrontEntry {
+            area,
+            count,
+            path: path(),
+        };
+        self.entries.splice(pos..end, [kept]);
         let len = self.entries.len() as u64;
         tally.insertions += 1;
         tally.pruned += pruned;
@@ -193,10 +249,11 @@ pub(crate) mod contract_probe {
     }
 }
 
-fn reconstruct_segments(path: &Option<Rc<PathNode>>) -> Vec<Segment> {
+/// The segments along `parent`, topmost pair first, followed by `last`.
+fn reconstruct_segments(parent: &Option<Rc<PathNode>>, last: Option<Segment>) -> Vec<Segment> {
     let _span = telemetry::span(names::SPAN_RECONSTRUCT);
     let mut segments = Vec::new();
-    let mut cursor = path.as_ref();
+    let mut cursor = parent.as_ref();
     while let Some(node) = cursor {
         segments.push(Segment {
             pair: node.pair,
@@ -206,7 +263,122 @@ fn reconstruct_segments(path: &Option<Rc<PathNode>>) -> Vec<Segment> {
         cursor = node.parent.as_ref();
     }
     segments.reverse();
+    segments.extend(last);
     segments
+}
+
+/// Max-fit extras: continues the left fold of `wire_area[pair]` that
+/// reached `area` at bunch `met_end`, and returns the first bunch
+/// whose partial sum exceeds `cap` (or the bunch count). Under the
+/// paper's via accounting, pushing as many delay-failing wires as fit
+/// into the active pair's leftover capacity weakly dominates any
+/// smaller choice: their via charge to lower pairs is identical either
+/// way, and they free capacity below.
+fn max_fit_end(inst: &Instance, pair: usize, met_end: usize, mut area: f64, cap: f64) -> usize {
+    let mut extras_end = met_end;
+    while extras_end < inst.bunch_count() {
+        let next_area = area + inst.bunch(extras_end).wire_area[pair];
+        if next_area > cap {
+            break;
+        }
+        area = next_area;
+        extras_end += 1;
+    }
+    extras_end
+}
+
+/// One DP state under expansion: a front entry of the delay-met prefix
+/// `met_start`, offered to `pair`, whose capacity left under the
+/// entry's via blockage is `cap`. `parent` is the entry's path.
+struct State<'a> {
+    pair: usize,
+    met_start: usize,
+    cap: f64,
+    parent: &'a Option<Rc<PathNode>>,
+    /// The state's max-fit extras end, computed by its first finalize
+    /// that passes the gate (see the module doc).
+    extras_end: Option<usize>,
+}
+
+/// The search's running answer and what its states share.
+struct Search<'a> {
+    inst: &'a Instance,
+    /// Candidates ranked below this are not finalized.
+    floor: u64,
+    best: Solution,
+    pack_memo: HashMap<(usize, usize, u64), bool>,
+    tally: Tally,
+}
+
+impl Search<'_> {
+    /// Treats the state's pair as the active pair, with the delay-met
+    /// prefix ending at `met_end`: the met segment `met_start..met_end`
+    /// consumed `wire_area` of `cap`, and the candidate uses `area` and
+    /// `count` of repeaters in all.
+    fn finalize(
+        &mut self,
+        state: &mut State<'_>,
+        met_end: usize,
+        wire_area: f64,
+        area: f64,
+        count: u64,
+    ) {
+        let inst = self.inst;
+        let rank_wires = inst.wires_before(met_end);
+        if rank_wires < self.floor {
+            return;
+        }
+        let improves_rank = rank_wires > self.best.rank_wires;
+        // A successful finalize also proves Definition-3 assignability,
+        // which the Algorithm-5 base check may have missed (its via
+        // accounting differs slightly for the topmost pair).
+        let proves_assignable = !self.best.fully_assignable && rank_wires >= self.best.rank_wires;
+        if !improves_rank && !proves_assignable {
+            return;
+        }
+        let (pair, cap) = (state.pair, state.cap);
+        let extras_end = *state
+            .extras_end
+            .get_or_insert_with(|| max_fit_end(inst, pair, met_end, wire_area, cap));
+        #[cfg(feature = "strict-invariants")]
+        debug_assert_eq!(
+            extras_end,
+            max_fit_end(inst, pair, met_end, wire_area, cap),
+            "the state's max-fit end differs from the candidate's own scan"
+        );
+        let wires_above = inst.wires_before(extras_end);
+        let key = (extras_end, pair + 1, count);
+        let ok = match self.pack_memo.get(&key).copied() {
+            Some(cached) => {
+                self.tally.memo_hits += 1;
+                cached
+            }
+            None => {
+                self.tally.memo_misses += 1;
+                let computed = greedy_pack(inst, extras_end, pair + 1, wires_above, count);
+                self.pack_memo.insert(key, computed);
+                computed
+            }
+        };
+        if ok {
+            let segment = (met_end > state.met_start).then_some(Segment {
+                pair,
+                met_start: state.met_start,
+                met_end,
+            });
+            self.best = Solution {
+                met_bunches: met_end,
+                rank_wires,
+                normalized: rank_wires as f64 / inst.total_wires() as f64,
+                fully_assignable: true,
+                repeater_area: area,
+                repeater_count: count,
+                segments: reconstruct_segments(state.parent, segment),
+                extras_end,
+                active_pair: pair,
+            };
+        }
+    }
 }
 
 /// Computes the rank of an instance (Definition 2) with the optimized
@@ -227,149 +399,21 @@ fn reconstruct_segments(path: &Option<Rc<PathNode>>) -> Vec<Segment> {
 #[must_use]
 pub fn rank(inst: &Instance) -> Solution {
     let _solve_span = telemetry::span(names::SPAN_DP_SOLVE);
-    let n = inst.bunch_count();
-    let m = inst.pair_count();
-    let budget = inst.repeater_budget();
-    telemetry::counter_add(names::INSTANCE_BUNCHES, n as u64);
-    telemetry::counter_add(names::INSTANCE_PAIRS, m as u64);
-
-    let mut best = {
+    let (base_assignable, floor) = {
         let _seed_span = telemetry::span(names::SPAN_DP_SEED);
-        Solution::zero(greedy_pack(inst, 0, 0, 0, 0))
+        telemetry::counter_add(names::INSTANCE_BUNCHES, inst.bunch_count() as u64);
+        telemetry::counter_add(names::INSTANCE_PAIRS, inst.pair_count() as u64);
+        (greedy_pack(inst, 0, 0, 0, 0), rank_greedy(inst).rank_wires)
     };
-    let mut pack_memo: HashMap<(usize, usize, u64), bool> = HashMap::new();
-    let mut tally = Tally::default();
-
-    // try_finalize: treat `pair` as the active pair, with delay-met
-    // prefix ending at `met_end` (costs already inside `entry`), the
-    // met segment having consumed `wire_area_used` of `cap`.
-    let mut try_finalize = |pair: usize,
-                            met_end: usize,
-                            wire_area_used: f64,
-                            cap: f64,
-                            entry: &FrontEntry,
-                            best: &mut Solution,
-                            tally: &mut Tally| {
-        let rank_wires = inst.wires_before(met_end);
-        let improves_rank = rank_wires > best.rank_wires;
-        // A successful finalize also proves Definition-3 assignability,
-        // which the Algorithm-5 base check may have missed (its via
-        // accounting differs slightly for the topmost pair).
-        let proves_assignable = !best.fully_assignable && rank_wires >= best.rank_wires;
-        if !improves_rank && !proves_assignable {
-            return;
-        }
-        // Max-fit extras: under the paper's via accounting, pushing as
-        // many delay-failing wires as fit into the active pair's
-        // leftover capacity weakly dominates any smaller choice (their
-        // via charge to lower pairs is identical either way, and they
-        // free capacity below).
-        let mut extras_end = met_end;
-        let mut area = wire_area_used;
-        while extras_end < n {
-            let next_area = area + inst.bunch(extras_end).wire_area[pair];
-            if next_area > cap {
-                break;
-            }
-            area = next_area;
-            extras_end += 1;
-        }
-        let wires_above = inst.wires_before(extras_end);
-        let key = (extras_end, pair + 1, entry.count);
-        let ok = match pack_memo.get(&key).copied() {
-            Some(cached) => {
-                tally.memo_hits += 1;
-                cached
-            }
-            None => {
-                tally.memo_misses += 1;
-                let computed = greedy_pack(inst, extras_end, pair + 1, wires_above, entry.count);
-                pack_memo.insert(key, computed);
-                computed
-            }
-        };
-        if ok {
-            *best = Solution {
-                met_bunches: met_end,
-                rank_wires,
-                normalized: rank_wires as f64 / inst.total_wires() as f64,
-                fully_assignable: true,
-                repeater_area: entry.area,
-                repeater_count: entry.count,
-                segments: reconstruct_segments(&entry.path),
-                extras_end,
-                active_pair: pair,
-            };
-        }
-    };
-
-    // prev[p] = Pareto front of states with delay-met prefix `p` after
-    // some prefix of pairs. Start: nothing assigned.
-    let mut prev: Vec<Option<Front>> = vec![None; n + 1];
-    prev[0] = Some(Front {
-        entries: vec![FrontEntry {
-            area: 0.0,
-            count: 0,
-            path: None,
-        }],
-    });
-
-    for j in 0..m {
-        let _expand_span = telemetry::span(names::SPAN_DP_EXPAND);
-        let mut next: Vec<Option<Front>> = vec![None; n + 1];
-        for i1 in 0..=n {
-            let Some(front) = prev[i1].take() else {
-                continue;
-            };
-            telemetry::histogram_record(names::DP_FRONT_OCCUPANCY, front.entries.len() as u64);
-            for entry in &front.entries {
-                tally.states += 1;
-                let cap = inst.blocked_capacity(j, inst.wires_before(i1), entry.count);
-                // Pair j as active pair with an empty met segment.
-                try_finalize(j, i1, 0.0, cap, entry, &mut best, &mut tally);
-                // Pair j skipped entirely: carry the state forward.
-                next[i1]
-                    .get_or_insert_with(Front::default)
-                    .insert(entry.clone(), &mut tally);
-                // Sweep delay-met extensions.
-                let mut wire_area = 0.0;
-                let mut rep_area = 0.0;
-                let mut rep_count = 0u64;
-                for i2 in i1..n {
-                    let b = inst.bunch(i2);
-                    if !b.need[j].attainable() {
-                        break;
-                    }
-                    wire_area += b.wire_area[j];
-                    if wire_area > cap {
-                        break;
-                    }
-                    let cnt = b.need[j].repeaters_per_wire() * b.count;
-                    rep_count += cnt;
-                    rep_area += cnt as f64 * inst.pair(j).repeater_unit_area;
-                    if entry.area + rep_area > budget {
-                        break;
-                    }
-                    let new_entry = FrontEntry {
-                        area: entry.area + rep_area,
-                        count: entry.count + rep_count,
-                        path: Some(Rc::new(PathNode {
-                            pair: j,
-                            met_start: i1,
-                            met_end: i2 + 1,
-                            parent: entry.path.clone(),
-                        })),
-                    };
-                    try_finalize(j, i2 + 1, wire_area, cap, &new_entry, &mut best, &mut tally);
-                    next[i2 + 1]
-                        .get_or_insert_with(Front::default)
-                        .insert(new_entry, &mut tally);
-                }
-            }
-        }
-        prev = next;
+    let mut best = search(inst, base_assignable, floor);
+    debug_assert!(
+        best.rank_wires >= floor,
+        "the DP ranked {} below its greedy floor {floor}",
+        best.rank_wires
+    );
+    if best.rank_wires < floor {
+        best = search(inst, base_assignable, 0);
     }
-    tally.record();
 
     // End the solve span here: the strict-invariants cross-check below
     // re-solves the instance at zero budget, and that debug contract
@@ -378,6 +422,7 @@ pub fn rank(inst: &Instance) -> Solution {
 
     #[cfg(feature = "strict-invariants")]
     {
+        let budget = inst.repeater_budget();
         // Solution self-consistency: the reported rank counts exactly
         // the wires of the met prefix, the repeater spend respects the
         // budget, and the met segments tile the prefix contiguously.
@@ -411,6 +456,104 @@ pub fn rank(inst: &Instance) -> Solution {
     }
 
     best
+}
+
+/// The prefix/Pareto search proper, finalizing only candidates ranked
+/// at or above `floor`. `base_assignable` is the Algorithm-5 check of
+/// the whole WLD, which seeds the rank-0 answer. The tally reaches the
+/// collector inside the last `expand` span.
+fn search(inst: &Instance, base_assignable: bool, floor: u64) -> Solution {
+    let n = inst.bunch_count();
+    let m = inst.pair_count();
+    let budget = inst.repeater_budget();
+    let mut search = Search {
+        inst,
+        floor,
+        best: Solution::zero(base_assignable),
+        pack_memo: HashMap::new(),
+        tally: Tally::default(),
+    };
+
+    // prev[p] = Pareto front of states with delay-met prefix `p` after
+    // some prefix of pairs. Start: nothing assigned.
+    let mut prev: Vec<Option<Front>> = vec![None; n + 1];
+    prev[0] = Some(Front {
+        entries: vec![FrontEntry {
+            area: 0.0,
+            count: 0,
+            path: None,
+        }],
+    });
+
+    for j in 0..m {
+        let _expand_span = telemetry::span(names::SPAN_DP_EXPAND);
+        let mut next: Vec<Option<Front>> = vec![None; n + 1];
+        for i1 in 0..=n {
+            let Some(front) = prev[i1].take() else {
+                continue;
+            };
+            telemetry::histogram_record(names::DP_FRONT_OCCUPANCY, front.entries.len() as u64);
+            for entry in &front.entries {
+                search.tally.states += 1;
+                let mut state = State {
+                    pair: j,
+                    met_start: i1,
+                    cap: inst.blocked_capacity(j, inst.wires_before(i1), entry.count),
+                    parent: &entry.path,
+                    extras_end: None,
+                };
+                // Pair j as active pair with an empty met segment.
+                search.finalize(&mut state, i1, 0.0, entry.area, entry.count);
+                // Pair j skipped entirely: carry the state forward.
+                next[i1].get_or_insert_with(Front::default).insert(
+                    entry.area,
+                    entry.count,
+                    || entry.path.clone(),
+                    &mut search.tally,
+                );
+                // Sweep delay-met extensions.
+                let mut wire_area = 0.0;
+                let mut rep_area = 0.0;
+                let mut rep_count = 0u64;
+                for i2 in i1..n {
+                    let b = inst.bunch(i2);
+                    if !b.need[j].attainable() {
+                        break;
+                    }
+                    wire_area += b.wire_area[j];
+                    if wire_area > state.cap {
+                        break;
+                    }
+                    let cnt = b.need[j].repeaters_per_wire() * b.count;
+                    rep_count += cnt;
+                    rep_area += cnt as f64 * inst.pair(j).repeater_unit_area;
+                    if entry.area + rep_area > budget {
+                        break;
+                    }
+                    let (area, count) = (entry.area + rep_area, entry.count + rep_count);
+                    search.finalize(&mut state, i2 + 1, wire_area, area, count);
+                    next[i2 + 1].get_or_insert_with(Front::default).insert(
+                        area,
+                        count,
+                        || {
+                            Some(Rc::new(PathNode {
+                                pair: j,
+                                met_start: i1,
+                                met_end: i2 + 1,
+                                parent: entry.path.clone(),
+                            }))
+                        },
+                        &mut search.tally,
+                    );
+                }
+            }
+        }
+        prev = next;
+        if j + 1 == m {
+            search.tally.record();
+        }
+    }
+    search.best
 }
 
 #[cfg(test)]
@@ -570,16 +713,16 @@ mod tests {
     #[test]
     fn front_insert_maintains_pareto_invariant() {
         let mut f = Front::default();
-        let e = |area: f64, count: u64| FrontEntry {
-            area,
-            count,
-            path: None,
-        };
         let t = &mut Tally::default();
-        assert!(f.insert(e(5.0, 10), t));
-        assert!(f.insert(e(3.0, 20), t)); // incomparable: kept
-        assert!(!f.insert(e(6.0, 11), t)); // dominated by (5, 10)
-        assert!(f.insert(e(2.0, 5), t)); // dominates everything
+        assert!(f.insert(5.0, 10, || None, t));
+        assert!(f.insert(3.0, 20, || None, t)); // incomparable: kept
+        assert!(!f.insert(
+            6.0,
+            11,
+            || unreachable!("a dominated point builds no path"),
+            t
+        ));
+        assert!(f.insert(2.0, 5, || None, t)); // dominates everything
         assert_eq!(f.entries.len(), 1);
         assert!((f.entries[0].area - 2.0).abs() < 1e-12);
         // Four candidates, three kept, two pruned by the last one.
@@ -602,7 +745,7 @@ mod tests {
             fn insert_preserves_sorting_and_nondomination(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
+                    f.insert(area, count, || None, &mut Tally::default());
                     f.assert_invariants();
                 }
                 // Sorted: strictly ascending area, strictly descending
@@ -628,7 +771,7 @@ mod tests {
             fn every_inserted_point_has_a_dominating_survivor(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
+                    f.insert(area, count, || None, &mut Tally::default());
                 }
                 for &(area, count) in &pts {
                     prop_assert!(
@@ -642,12 +785,12 @@ mod tests {
             fn reinserting_survivors_is_a_rejected_noop(pts in points()) {
                 let mut f = Front::default();
                 for &(area, count) in &pts {
-                    f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
+                    f.insert(area, count, || None, &mut Tally::default());
                 }
                 let snapshot: Vec<(f64, u64)> =
                     f.entries.iter().map(|e| (e.area, e.count)).collect();
                 for &(area, count) in &snapshot {
-                    let accepted = f.insert(FrontEntry { area, count, path: None }, &mut Tally::default());
+                    let accepted = f.insert(area, count, || None, &mut Tally::default());
                     prop_assert!(!accepted, "re-inserting a survivor must be rejected");
                 }
                 let after: Vec<(f64, u64)> =

@@ -65,4 +65,4 @@ pub use error::RankError;
 pub use instance::{BunchSolverSpec, Instance, Need, PairSolverSpec};
 pub use problem::{RankProblem, RankProblemBuilder, WldSource};
 pub use report::{utilization, PairUsage};
-pub use result::{RankResult, Solution};
+pub use result::{RankResult, Segment, Solution};

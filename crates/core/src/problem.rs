@@ -11,7 +11,6 @@ use ia_rc::{ExtractionOptions, Extractor};
 use ia_tech::TechnologyNode;
 use ia_units::{Frequency, Permittivity, Time};
 use ia_wld::{coarsen, CoarseWld, Wld, WldSpec};
-use std::collections::HashMap;
 
 /// Where the wire-length distribution comes from.
 #[derive(Debug, Clone)]
@@ -336,17 +335,24 @@ impl<'a> RankProblemBuilder<'a> {
             })
             .collect();
 
-        // Per-(distinct length, pair) repeater requirements, memoized.
-        let mut need_memo: Vec<HashMap<u64, Need>> = vec![HashMap::new(); pair_ctx.len()];
+        // Per-(distinct length, pair) repeater requirements, planned
+        // once: a `CoarseWld` lists its bunches by descending length, so
+        // the bunches of one length are adjacent, and each pair keeps
+        // only the need it planned for the previous bunch's length.
+        let mut previous: Vec<Option<(u64, Need)>> = vec![None; pair_ctx.len()];
         let mut need_of = |length: u64, j: usize, target: Time, ctx: &PairCtx| -> Need {
-            *need_memo[j].entry(length).or_insert_with(|| {
-                let l = die.physical_length(length);
-                match plan_insertion(&ctx.model, l, target) {
-                    InsertionOutcome::MeetsUnbuffered { .. } => Need::Unbuffered,
-                    InsertionOutcome::Buffered { count, .. } => Need::Repeaters(count),
-                    InsertionOutcome::Unattainable { .. } => Need::Unattainable,
+            if let Some((planned, need)) = previous[j] {
+                if planned == length {
+                    return need;
                 }
-            })
+            }
+            let need = match plan_insertion(&ctx.model, die.physical_length(length), target) {
+                InsertionOutcome::MeetsUnbuffered { .. } => Need::Unbuffered,
+                InsertionOutcome::Buffered { count, .. } => Need::Repeaters(count),
+                InsertionOutcome::Unattainable { .. } => Need::Unattainable,
+            };
+            previous[j] = Some((length, need));
+            need
         };
 
         let bunches: Vec<BunchSolverSpec> = coarse

@@ -32,10 +32,12 @@ pub mod names {
     /// one DP state.
     pub const DP_FRONT_MAX: &str = "dp.front_max";
     /// Counter: `greedy_pack` feasibility results served from the memo
-    /// instead of recomputed.
+    /// instead of recomputed. Only finalize calls at or above the
+    /// greedy floor that could change the answer probe the memo.
     pub const DP_MEMO_HITS: &str = "dp.memo_hits";
     /// Counter: `greedy_pack` feasibility results computed and stored
-    /// in the memo. Memo probes are hits plus misses.
+    /// in the memo. Memo probes are hits plus misses; like hits, they
+    /// count only finalize calls at or above the greedy floor.
     pub const DP_MEMO_MISSES: &str = "dp.memo_misses";
     /// Histogram: Pareto-front length after each accepted insertion
     /// (log-scale buckets).
@@ -60,12 +62,14 @@ pub mod names {
     /// Span: the DP solve proper ([`crate::dp::rank`]).
     pub const SPAN_DP_SOLVE: &str = "dp.solve";
     /// Span: one layer-pair expansion of the DP main loop (nested
-    /// under [`SPAN_DP_SOLVE`], one call per pair). With
+    /// under [`SPAN_DP_SOLVE`], one call per pair). The last one also
+    /// hands the solve's `dp.*` tally to the collector. With
     /// [`SPAN_DP_SEED`] it covers essentially all of `dp.solve`.
     pub const SPAN_DP_EXPAND: &str = "expand";
-    /// Span: the Algorithm-5 base assignability check seeding the DP
-    /// (one `greedy_pack` over the whole WLD, nested under
-    /// [`SPAN_DP_SOLVE`] before the first expansion).
+    /// Span: what the DP computes before the first expansion (nested
+    /// under [`SPAN_DP_SOLVE`]): the `instance.*` counters, the
+    /// Algorithm-5 base assignability check (one `greedy_pack` over the
+    /// whole WLD) and the greedy floor (one `rank_greedy`).
     pub const SPAN_DP_SEED: &str = "seed";
     /// Span: the `strict-invariants` budget-monotonicity cross-check —
     /// a zero-budget re-solve of the instance. Recorded as a sibling of

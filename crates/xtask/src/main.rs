@@ -15,11 +15,19 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Writes the usage text and the `ia-lint: …` lines to stderr. Write
+/// errors are ignored, so a closed stderr leaves the exit code the
+/// command's own.
+fn write_stderr(text: &str) {
+    let _ = std::io::stderr().write_all(text.as_bytes());
+}
+
 fn usage() -> ExitCode {
-    eprintln!(
+    write_stderr(&format!(
         "usage: ia-lint lint [--format text|json] [--root PATH]\n\
          \x20                [--allow-stale-waivers]\n\
          \x20      ia-lint check-metrics FILE\n\
@@ -41,9 +49,9 @@ fn usage() -> ExitCode {
          check-corpus validates an ia-corpus-v1 rank-comparison report\n\
          (the `iarank corpus report` text or its `--csv true` form,\n\
          auto-detected).\n\
-         See docs/observability.md.",
+         See docs/observability.md.\n",
         xtask::registry::usage_list()
-    );
+    ));
     ExitCode::from(2)
 }
 
@@ -53,7 +61,7 @@ fn run_check(kind: &str, file: &str, check: fn(&str) -> Result<String, String>) 
     let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("ia-lint: cannot read {file}: {e}");
+            write_stderr(&format!("ia-lint: cannot read {file}: {e}\n"));
             return ExitCode::from(2);
         }
     };
@@ -63,7 +71,7 @@ fn run_check(kind: &str, file: &str, check: fn(&str) -> Result<String, String>) 
             ExitCode::SUCCESS
         }
         Err(problem) => {
-            eprintln!("ia-lint: {kind} {file}: {problem}");
+            write_stderr(&format!("ia-lint: {kind} {file}: {problem}\n"));
             ExitCode::FAILURE
         }
     }
@@ -134,13 +142,16 @@ fn main() -> ExitCode {
     }
 
     if !root.is_dir() {
-        eprintln!("ia-lint: root {} is not a directory", root.display());
+        write_stderr(&format!(
+            "ia-lint: root {} is not a directory\n",
+            root.display()
+        ));
         return ExitCode::from(2);
     }
     let diags = match xtask::lint_workspace_opts(&root, opts) {
         Ok(d) => d,
         Err(e) => {
-            eprintln!("ia-lint: cannot walk {}: {e}", root.display());
+            write_stderr(&format!("ia-lint: cannot walk {}: {e}\n", root.display()));
             return ExitCode::from(2);
         }
     };
@@ -150,9 +161,12 @@ fn main() -> ExitCode {
         _ => {
             print!("{}", xtask::render_text(&diags));
             if diags.is_empty() {
-                eprintln!("ia-lint: clean ({} rules)", xtask::registry::RULES.len());
+                write_stderr(&format!(
+                    "ia-lint: clean ({} rules)\n",
+                    xtask::registry::RULES.len()
+                ));
             } else {
-                eprintln!("ia-lint: {} finding(s)", diags.len());
+                write_stderr(&format!("ia-lint: {} finding(s)\n", diags.len()));
             }
         }
     }

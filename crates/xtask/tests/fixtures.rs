@@ -350,7 +350,11 @@ fn cli_exit_codes_and_text_format() {
         "text format is `file:line: rule: message`, got: {stdout}"
     );
 
-    let usage = Command::new(bin).output().expect("runs");
+    // The usage text goes to stderr. With the pipe's read end dropped
+    // before the spawn, that write fails, and the exit code stays 2.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let usage = Command::new(bin).stderr(writer).output().expect("runs");
     assert_eq!(usage.status.code(), Some(2), "missing command must exit 2");
 
     let missing = Command::new(bin)
